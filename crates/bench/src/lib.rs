@@ -11,15 +11,12 @@
 //! | `fig5_montecarlo` | Fig. 5 — Monte-Carlo scatter of V_min vs τ |
 //! | `tab1_probabilities` | Tab. 1 — p_loose / p_false per load |
 //! | `sec3_testability` | Section 3 — fault coverage per class |
-//! | `campaign_scaling` | campaign wall clock vs `--threads` worker count |
-//! | `batch_scaling` | batched-variant kernel speedup vs the cached scalar path, plus batched/scalar verdict agreement |
 //! | `fig6_clock_distribution` | Fig. 6 — sensors monitoring an H-tree |
 //! | `ablation_threshold` | sensitivity vs V_th and device sizing |
 //! | `ablation_keepers` | effect of the full-swing keepers |
 //!
 //! Set `CLOCKSENSE_FAST=1` to cut sample counts for smoke runs.
 
-use clocksense_netlist::{Circuit, NodeId, SourceWave, GROUND};
 use clocksense_wave::Waveform;
 
 pub mod chaos;
@@ -60,104 +57,6 @@ pub fn threads_arg() -> usize {
         }
     }
     threads
-}
-
-/// Builds a complete binary RC tree with `n_nodes` tree nodes (heap
-/// layout, node 0 is the root) behind a driver resistor, pulsed by an
-/// ideal source — the MNA view of an H-tree clock net. Returns the
-/// circuit and the deepest leaf node. Shared by the solver- and
-/// timestep-scaling binaries so both benchmark the same workload.
-pub fn htree_netlist(n_nodes: usize) -> (Circuit, NodeId) {
-    let mut ckt = Circuit::new();
-    let src = ckt.node("src");
-    ckt.add_vsource(
-        "vclk",
-        src,
-        GROUND,
-        SourceWave::Pulse {
-            v1: 0.0,
-            v2: 1.0,
-            delay: 10e-12,
-            rise: 50e-12,
-            fall: 50e-12,
-            width: 400e-12,
-            period: f64::INFINITY,
-        },
-    )
-    .expect("source");
-    let nodes: Vec<NodeId> = (0..n_nodes).map(|i| ckt.node(&format!("n{i}"))).collect();
-    ckt.add_resistor("rdrv", src, nodes[0], 50.0)
-        .expect("driver");
-    for (i, &node) in nodes.iter().enumerate() {
-        // Wire segments halve in length (and resistance) per H-tree
-        // level; depth via the heap index.
-        let depth = (usize::BITS - (i + 1).leading_zeros()) as i32;
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n_nodes {
-                ckt.add_resistor(
-                    &format!("r{i}_{child}"),
-                    node,
-                    nodes[child],
-                    200.0 / f64::powi(2.0, depth - 1),
-                )
-                .expect("segment");
-            }
-        }
-        let is_leaf = 2 * i + 1 >= n_nodes;
-        let farads = if is_leaf { 20e-15 } else { 5e-15 };
-        ckt.add_capacitor(&format!("c{i}"), node, GROUND, farads)
-            .expect("node cap");
-    }
-    (ckt, nodes[n_nodes - 1])
-}
-
-/// Builds an `m` × `m` RC clock mesh: a resistive grid with a capacitor
-/// per node, pulsed through a driver resistor at one corner. Returns the
-/// circuit and the far-corner node.
-///
-/// The complement of [`htree_netlist`] for solver benchmarks: a tree
-/// factors with essentially no fill-in (one LU factorisation costs about
-/// one substitution), while the mesh's grid coupling makes the
-/// factorisation the dominant per-step cost — the regime where the
-/// batched kernel's factor caching pays.
-pub fn clock_mesh_netlist(m: usize) -> (Circuit, NodeId) {
-    let mut ckt = Circuit::new();
-    let src = ckt.node("src");
-    ckt.add_vsource(
-        "vclk",
-        src,
-        GROUND,
-        SourceWave::Pulse {
-            v1: 0.0,
-            v2: 1.0,
-            delay: 10e-12,
-            rise: 50e-12,
-            fall: 50e-12,
-            width: 400e-12,
-            period: f64::INFINITY,
-        },
-    )
-    .expect("source");
-    let nodes: Vec<Vec<NodeId>> = (0..m)
-        .map(|r| (0..m).map(|c| ckt.node(&format!("g{r}_{c}"))).collect())
-        .collect();
-    ckt.add_resistor("rdrv", src, nodes[0][0], 25.0)
-        .expect("driver");
-    for r in 0..m {
-        for c in 0..m {
-            if c + 1 < m {
-                ckt.add_resistor(&format!("rh{r}_{c}"), nodes[r][c], nodes[r][c + 1], 2.0)
-                    .expect("horizontal segment");
-            }
-            if r + 1 < m {
-                ckt.add_resistor(&format!("rv{r}_{c}"), nodes[r][c], nodes[r + 1][c], 2.0)
-                    .expect("vertical segment");
-            }
-            ckt.add_capacitor(&format!("c{r}_{c}"), nodes[r][c], GROUND, 10e-15)
-                .expect("node cap");
-        }
-    }
-    (ckt, nodes[m - 1][m - 1])
 }
 
 /// Picks `full` or `fast` depending on [`fast_mode`].

@@ -47,7 +47,7 @@ pub fn start(bench: &str) -> BenchReport {
 
 /// [`start`] with a counter scope that differs from the binary name —
 /// for binaries whose archived counter names predate this helper (e.g.
-/// `solver_scaling` records under `scaling.*`).
+/// `campaign_torture` records under `torture.*`).
 #[must_use]
 pub fn start_scoped(bench: &str, scope: &str) -> BenchReport {
     let run = RunReport::from_env(bench);

@@ -9,7 +9,10 @@ use std::time::Duration;
 use clocksense_core::{ClockPair, SensingCircuit};
 use clocksense_exec::{Deadline, Executor};
 use clocksense_netlist::{canonical_form, fnv1a, SourceWave, FNV_OFFSET};
-use clocksense_spice::{IntegrationMethod, SimOptions, SolverKind, SpiceError, TranResult};
+use clocksense_spice::{
+    dc_operating_point_cached, iddq_cached, transient_batch, transient_cached, IntegrationMethod,
+    SimOptions, SolverKind, SpiceError, SymbolicCache, TranResult,
+};
 
 use crate::checkpoint::{
     campaign_fingerprint, decode_fault_record, encode_fault_record, Journal, TAG_FAULT,
@@ -18,7 +21,6 @@ use crate::detect::{logic_detected, static_flip, DetectionCriteria, DetectionOut
 use crate::error::FaultError;
 use crate::inject::{inject, Rails};
 use crate::model::{Fault, FaultClass};
-use crate::template::SimTemplate;
 
 /// Configuration of a fault-simulation campaign.
 ///
@@ -342,7 +344,7 @@ fn static_levels(
     fault: Option<&Fault>,
     cfg: &CampaignConfig,
     rails: &Rails,
-    template: &SimTemplate,
+    cache: &SymbolicCache,
     opts: &SimOptions,
     last_failure: &mut Option<FailureInfo>,
 ) -> Result<Vec<Option<(f64, f64)>>, FaultError> {
@@ -354,7 +356,7 @@ fn static_levels(
             Some(f) => inject(&bench, f, rails)?,
             None => bench,
         };
-        out.push(match template.dc_operating_point_opts(&bench, opts) {
+        out.push(match dc_operating_point_cached(&bench, opts, cache) {
             Ok(op) => Some((op.voltage(y1), op.voltage(y2))),
             Err(e) => {
                 *last_failure = Some(FailureInfo::from_spice(&e));
@@ -371,7 +373,7 @@ fn evaluate_fault(
     fault: &Fault,
     cfg: &CampaignConfig,
     rails: &Rails,
-    template: &SimTemplate,
+    cache: &SymbolicCache,
     fault_free_static: &[Option<(f64, f64)>],
     opts: &SimOptions,
     pre_tran: Option<&Result<TranResult, SpiceError>>,
@@ -392,7 +394,7 @@ fn evaluate_fault(
         Some(fault),
         cfg,
         rails,
-        template,
+        cache,
         opts,
         &mut last_failure,
     )?;
@@ -421,7 +423,7 @@ fn evaluate_fault(
             None => {
                 let bench = sensor.testbench(&cfg.clocks)?;
                 let faulted = inject(&bench, fault, rails)?;
-                scalar_tran = template.transient_opts(&faulted, cfg.stop_time(), opts);
+                scalar_tran = transient_cached(&faulted, cfg.stop_time(), opts, cache);
                 &scalar_tran
             }
         };
@@ -450,7 +452,7 @@ fn evaluate_fault(
             let static_bench =
                 sensor.testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))?;
             let faulted_static = inject(&static_bench, fault, rails)?;
-            match template.iddq_opts(&faulted_static, SensingCircuit::SUPPLY, opts) {
+            match iddq_cached(&faulted_static, SensingCircuit::SUPPLY, opts, cache) {
                 Ok(current) => {
                     let current = current.abs();
                     max_iddq = Some(max_iddq.map_or(current, |m: f64| m.max(current)));
@@ -486,7 +488,7 @@ fn evaluate_fault(
                 let skewed = cfg.clocks.with_skew(signed);
                 let skewed_bench = sensor.testbench(&skewed)?;
                 let faulted_skewed = inject(&skewed_bench, fault, rails)?;
-                if let Ok(result) = template.transient_opts(&faulted_skewed, cfg.stop_time(), opts)
+                if let Ok(result) = transient_cached(&faulted_skewed, cfg.stop_time(), opts, cache)
                 {
                     checked = true;
                     let detected = logic_detected(
@@ -554,10 +556,11 @@ pub fn run_campaign(
         });
     }
     let rails = Rails::vdd_gnd("vdd");
-    // One template serves the whole campaign: with the sparse backend,
-    // every fault variant that preserves the bench's stamp topology
-    // reuses the symbolic structure analysed for the first one.
-    let template = SimTemplate::new(cfg.sim.clone());
+    // One symbolic cache serves every pass of the campaign: with the
+    // sparse backend, every fault variant that preserves the bench's
+    // stamp topology reuses the structure analysed for the first one.
+    // The dense backend never touches it.
+    let cache = SymbolicCache::new();
     // A failing fault-free pattern is not an error by itself (the
     // comparison just loses that pattern), so the reason is dropped here.
     let mut _baseline_failure = None;
@@ -566,7 +569,7 @@ pub fn run_campaign(
         None,
         cfg,
         &rails,
-        &template,
+        &cache,
         &cfg.sim,
         &mut _baseline_failure,
     )?;
@@ -661,7 +664,7 @@ pub fn run_campaign(
             let shards = Executor::new(cfg.threads).run_chunked(
                 benches.len(),
                 cfg.sim.lane_chunk(),
-                |range| template.transient_batch_opts(&benches[range], cfg.stop_time(), &cfg.sim),
+                |range| transient_batch(&benches[range], cfg.stop_time(), &cfg.sim, &cache),
             );
             Some(shards.into_iter().map(Result::ok).collect())
         } else {
@@ -674,7 +677,7 @@ pub fn run_campaign(
             f,
             cfg,
             &rails,
-            &template,
+            &cache,
             &fault_free_static,
             &opts,
             pre_tran.as_ref().and_then(|v| v[fresh_pos[i]].as_ref()),
@@ -754,7 +757,7 @@ pub fn run_campaign(
                 f,
                 cfg,
                 &rails,
-                &template,
+                &cache,
                 &fault_free_static,
                 &opts,
                 None,
@@ -778,7 +781,8 @@ pub fn run_campaign(
     }
 
     let tele = clocksense_telemetry::global().scope("faults");
-    let (cache_hits, cache_misses) = template.cache_stats();
+    let (cache_hits, cache_misses) = cache.stats();
+    // Run reports and the benchmark harness read these names.
     tele.counter("template_cache_hits").add(cache_hits);
     tele.counter("template_cache_misses").add(cache_misses);
     let tallies = [
@@ -963,7 +967,7 @@ mod tests {
         // structure — exactly what the batch kernel packs together — plus
         // one stuck-at whose different topology exercises the
         // singleton-group scalar fallback within the same pre-pass.
-        let faults = vec![
+        let pair = vec![
             Fault::Bridge {
                 a: "y1".into(),
                 b: "y2".into(),
@@ -984,19 +988,35 @@ mod tests {
                 level: StuckLevel::Zero,
             },
         ];
-        let mut scalar_cfg = config();
-        scalar_cfg.sim.solver = clocksense_spice::SolverKind::Sparse;
-        let mut batched_cfg = scalar_cfg.clone();
-        batched_cfg.sim.batch = 4;
-        let scalar = run_campaign(&s, &faults, &scalar_cfg).unwrap();
-        let batched = run_campaign(&s, &faults, &batched_cfg).unwrap();
-        for (a, b) in scalar.records().iter().zip(batched.records()) {
-            assert_eq!(a.outcome, b.outcome, "verdict diverged for {}", a.fault);
-            assert_eq!(
-                a.masks_skew, b.masks_skew,
-                "masking diverged for {}",
-                a.fault
-            );
+        // The head of the full universe mixes every fault class and
+        // topology; at widths 8 and 16 it fills one partial lane block
+        // and spans two, on the 2 ps grid.
+        let mut universe = crate::sensor_fault_universe(&s, 100.0);
+        universe.truncate(12);
+        for (faults, tstep, widths) in [(pair, None, &[4][..]), (universe, Some(2e-12), &[8, 16])] {
+            let mut scalar_cfg = config();
+            scalar_cfg.sim.solver = clocksense_spice::SolverKind::Sparse;
+            if let Some(tstep) = tstep {
+                scalar_cfg.sim.tstep = tstep;
+            }
+            let scalar = run_campaign(&s, &faults, &scalar_cfg).unwrap();
+            for &width in widths {
+                let mut batched_cfg = scalar_cfg.clone();
+                batched_cfg.sim.batch = width;
+                let batched = run_campaign(&s, &faults, &batched_cfg).unwrap();
+                for (a, b) in scalar.records().iter().zip(batched.records()) {
+                    assert_eq!(
+                        a.outcome, b.outcome,
+                        "verdict diverged for {} at batch {width}",
+                        a.fault
+                    );
+                    assert_eq!(
+                        a.masks_skew, b.masks_skew,
+                        "masking diverged for {} at batch {width}",
+                        a.fault
+                    );
+                }
+            }
         }
     }
 

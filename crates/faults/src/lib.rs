@@ -34,7 +34,6 @@ mod error;
 mod inject;
 mod model;
 mod report;
-mod template;
 mod transient;
 mod universe;
 
@@ -47,7 +46,6 @@ pub use error::FaultError;
 pub use inject::{inject, Rails};
 pub use model::{Fault, FaultClass, StuckLevel};
 pub use report::{csv_report, markdown_report};
-pub use template::SimTemplate;
 pub use transient::{run_transient_fault, TransientFault, TransientRecord};
 pub use universe::{
     bridge_universe, sensor_fault_universe, stuck_at_universe, transistor_universe,

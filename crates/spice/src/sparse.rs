@@ -780,6 +780,9 @@ impl SymbolicCache {
 mod tests {
     use super::*;
     use crate::matrix::DenseMatrix;
+    use crate::{dc_operating_point_cached, transient_batch, transient_cached};
+    use crate::{SimOptions, SolverKind};
+    use clocksense_netlist::{Circuit, SourceWave, GROUND};
 
     fn full_pattern(n: usize) -> Vec<(usize, usize)> {
         (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect()
@@ -1002,6 +1005,68 @@ mod tests {
         assert!(!hit_c, "different tail split is a different key");
         assert_eq!(cache.stats(), (1, 2));
         assert_eq!(cache.len(), 2);
+
+        // Through the circuit-level entry points: value-only variants of
+        // one topology share a single analysis.
+        let rc_bench = |r: f64| {
+            let mut ckt = Circuit::new();
+            let inp = ckt.node("in");
+            let out = ckt.node("out");
+            ckt.add_vsource("vin", inp, GROUND, SourceWave::step(0.0, 1.0, 0.0, 1e-12))
+                .unwrap();
+            ckt.add_resistor("r", inp, out, r).unwrap();
+            ckt.add_capacitor("c", out, GROUND, 1e-12).unwrap();
+            ckt
+        };
+        let sparse = SimOptions {
+            solver: SolverKind::Sparse,
+            ..SimOptions::default()
+        };
+        let cache = SymbolicCache::new();
+        for r in [1e3, 2e3, 5e3] {
+            transient_cached(&rc_bench(r), 1e-10, &sparse, &cache).unwrap();
+        }
+        let (hits, misses) = cache.stats();
+        assert_eq!(misses, 1, "one distinct topology");
+        assert!(hits >= 2, "later variants must reuse the structure");
+        assert_eq!(cache.len(), 1);
+        // A resistor to ground on an existing node adds no new stamp
+        // positions, so the structure is legitimately shared.
+        let mut grounded = rc_bench(1e3);
+        let out = grounded.node("out");
+        grounded.add_resistor("rb", out, GROUND, 1e6).unwrap();
+        transient_cached(&grounded, 1e-10, &sparse, &cache).unwrap();
+        assert_eq!(cache.len(), 1, "same pattern, same structure");
+        // An extra internal node changes the pattern: a miss and a
+        // fresh analysis.
+        let mut extended = rc_bench(1e3);
+        let out = extended.node("out");
+        let mid = extended.node("mid");
+        extended.add_resistor("r2", out, mid, 1e3).unwrap();
+        extended.add_capacitor("c2", mid, GROUND, 1e-13).unwrap();
+        transient_cached(&extended, 1e-10, &sparse, &cache).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().1, 2);
+
+        // The dense backend never touches the cache, batched or not, and
+        // its operating point matches the sparse one.
+        let dense = SimOptions {
+            batch: 4,
+            ..SimOptions::default()
+        };
+        let cache = SymbolicCache::new();
+        let variants: Vec<Circuit> = [1e3, 2e3, 5e3].iter().map(|&r| rc_bench(r)).collect();
+        assert!(transient_batch(&variants, 1e-9, &dense, &cache)
+            .iter()
+            .all(Result::is_ok));
+        transient_cached(&variants[0], 1e-9, &dense, &cache).unwrap();
+        let d = dc_operating_point_cached(&variants[0], &dense, &cache).unwrap();
+        assert_eq!(cache.stats(), (0, 0));
+        assert!(cache.is_empty());
+        let s = dc_operating_point_cached(&variants[0], &sparse, &cache).unwrap();
+        for (dv, sv) in d.as_vector().iter().zip(s.as_vector()) {
+            assert!((dv - sv).abs() < 1e-9, "dense {dv} vs sparse {sv}");
+        }
     }
 
     #[test]

@@ -23,11 +23,6 @@ emit a well-formed report, whatever its numbers are. Checks:
   * optionally (--expect-zero-rescue) the run was clean: no rescue.* or
     campaign.* retry counter recorded a nonzero value (both scopes
     materialise lazily, so a clean run normally has none at all);
-  * optionally (--batch) the batched-kernel accounting is coherent: the
-    kernel actually ran (batch.batches_run >= 1), it kept variants
-    active (batch.occupancy_active >= 1), and the batched/scalar
-    campaign comparison covered at least one fault with zero verdict
-    mismatches;
   * optionally (--expect-zero-batch) the run never touched the batched
     kernel: no batch.* counter recorded a nonzero value (the scope
     materialises lazily, so a scalar run normally has none at all);
@@ -132,11 +127,6 @@ def main() -> None:
         "--expect-zero-rescue",
         action="store_true",
         help="fail if any rescue.* or campaign.* retry counter is nonzero",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="require coherent batched-kernel occupancy and verdict agreement",
     )
     parser.add_argument(
         "--expect-zero-batch",
@@ -288,32 +278,6 @@ def main() -> None:
                 f"quarantined ({quarantined}) != scheduled ({scheduled})"
             )
 
-    if args.batch:
-        counters = report["counters"]
-        for name in (
-            "batch.batches_run",
-            "batch.occupancy_active",
-            "batch_scaling.verdicts_total",
-            "batch_scaling.verdict_mismatches",
-        ):
-            if name not in counters:
-                fail(f"batch-gate counter {name!r} missing")
-        if counters["batch.batches_run"] < 1:
-            fail("batch.batches_run must be >= 1: the batched kernel never ran")
-        if counters["batch.occupancy_active"] < 1:
-            fail(
-                "batch.occupancy_active must be >= 1: every variant fell "
-                "out of every batch"
-            )
-        if counters["batch_scaling.verdicts_total"] < 1:
-            fail("batch_scaling.verdicts_total must be >= 1: no faults compared")
-        mismatches = counters["batch_scaling.verdict_mismatches"]
-        if mismatches != 0:
-            fail(
-                f"batch_scaling.verdict_mismatches = {mismatches}: batched "
-                "and scalar campaigns disagree"
-            )
-
     if args.lanes:
         counters = report["counters"]
         for name in (
@@ -347,18 +311,6 @@ def main() -> None:
                 f"lane occupancy {active}/{scheduled}: more than half the "
                 "scheduled lane slots were padding or parked"
             )
-        # The lane_scaling bench additionally compares scalar and laned
-        # campaign verdicts; when its counters are in the report they
-        # must show a non-empty, mismatch-free comparison.
-        if "lane_scaling.verdict_mismatches" in counters:
-            if counters.get("lane_scaling.verdicts_total", 0) < 1:
-                fail("lane_scaling.verdicts_total must be >= 1: no faults compared")
-            mismatches = counters["lane_scaling.verdict_mismatches"]
-            if mismatches != 0:
-                fail(
-                    f"lane_scaling.verdict_mismatches = {mismatches}: laned "
-                    "and scalar campaigns disagree"
-                )
 
     if args.checkpoint:
         counters = report["counters"]

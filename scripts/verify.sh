@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, and doc the whole workspace.
+# Tier-1 verification: build, test, and doc the whole workspace, then
+# build, test and lint the benchmark harness in perf/.
 # Run from the repository root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,5 +34,22 @@ cargo fmt --check
 
 echo "==> cargo doc --no-deps"
 cargo doc --no-deps
+
+# The benchmark harness is a package of its own (perf/Cargo.toml, own
+# [workspace] and Cargo.lock) built against the library crates by path,
+# so the workspace steps above never see it; a library API change must
+# not break it silently.
+perf=(--offline --manifest-path perf/Cargo.toml)
+echo "==> perf: cargo build --release"
+cargo build --release "${perf[@]}"
+
+echo "==> perf: cargo test --release -q"
+cargo test --release -q "${perf[@]}"
+
+echo "==> perf: cargo clippy --release --all-targets -- -D warnings"
+cargo clippy --release --all-targets "${perf[@]}" -- -D warnings
+
+echo "==> perf: cargo fmt --check"
+cargo fmt --check --manifest-path perf/Cargo.toml
 
 echo "verify: OK"
