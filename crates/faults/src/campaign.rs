@@ -11,7 +11,7 @@ use clocksense_exec::{Deadline, Executor};
 use clocksense_netlist::{canonical_form, fnv1a, SourceWave, FNV_OFFSET};
 use clocksense_spice::{
     dc_operating_point_cached, iddq_cached, transient_batch, transient_cached, IntegrationMethod,
-    SimOptions, SolverKind, SpiceError, SymbolicCache, TranResult,
+    SimOptions, SpiceError, SymbolicCache, TranResult,
 };
 
 use crate::checkpoint::{
@@ -654,22 +654,22 @@ pub fn run_campaign(
     // both the kernel's vector lanes and the machine's cores. A shard
     // that panics degrades only its own items: they fall back to the
     // per-item pass below exactly as if no pre-pass result existed.
-    let pre_tran: Option<Vec<Option<Result<TranResult, SpiceError>>>> =
-        if cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse && !fresh.is_empty() {
-            let bench = sensor.testbench(&cfg.clocks)?;
-            let benches = fresh
-                .iter()
-                .map(|&i| inject(&bench, &faults[i], &rails))
-                .collect::<Result<Vec<_>, FaultError>>()?;
-            let shards = Executor::new(cfg.threads).run_chunked(
-                benches.len(),
-                cfg.sim.lane_chunk(),
-                |range| transient_batch(&benches[range], cfg.stop_time(), &cfg.sim, &cache),
-            );
-            Some(shards.into_iter().map(Result::ok).collect())
-        } else {
-            None
-        };
+    let pre_tran: Option<Vec<Option<Result<TranResult, SpiceError>>>> = if cfg.sim.batching()
+        && !fresh.is_empty()
+    {
+        let bench = sensor.testbench(&cfg.clocks)?;
+        let benches = fresh
+            .iter()
+            .map(|&i| inject(&bench, &faults[i], &rails))
+            .collect::<Result<Vec<_>, FaultError>>()?;
+        let shards =
+            Executor::new(cfg.threads).run_chunked(benches.len(), cfg.sim.lane_chunk(), |range| {
+                transient_batch(&benches[range], cfg.stop_time(), &cfg.sim, &cache)
+            });
+        Some(shards.into_iter().map(Result::ok).collect())
+    } else {
+        None
+    };
     let fresh_records = campaign_records_at(faults, &fresh, cfg.threads, |i, f| {
         let opts = cfg.item_sim(&cfg.sim);
         let record = evaluate_fault(

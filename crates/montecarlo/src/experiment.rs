@@ -7,9 +7,7 @@ use clocksense_core::{ClockPair, CoreError, SensingCircuit, SensorBuilder};
 use clocksense_exec::Executor;
 use clocksense_faults::checkpoint::{parse_f64_bits, sim_options_fingerprint, Journal, TAG_MC};
 use clocksense_netlist::{canonical_form, f64_bits, fnv1a, Circuit, FNV_OFFSET};
-use clocksense_spice::{
-    transient_batch, transient_cached, SimOptions, SolverKind, SymbolicCache, TranResult,
-};
+use clocksense_spice::{transient_batch, transient_cached, SimOptions, SymbolicCache, TranResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -234,7 +232,7 @@ pub fn run_scatter(
     // entire chunk. Scalar per-sample scheduling otherwise.
     let samples = if let Some(path) = &cfg.checkpoint {
         scatter_checkpointed(builder, clocks, taus, cfg, path, &cache)
-    } else if cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse {
+    } else if cfg.sim.batching() {
         // Chunks are lane-aligned (`lane_chunk` rounds the configured
         // width up to whole SIMD lane blocks) so only the final chunk
         // of the scatter can carry padding lanes.
@@ -356,7 +354,7 @@ fn scatter_checkpointed(
         hashes.push(hash);
         replayed.push(hit);
     }
-    let chunked = cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse;
+    let chunked = cfg.sim.batching();
     // Same lane-aligned width as the live scatter: replay granularity
     // must match the boundaries the fresh run would use.
     let chunk = cfg.sim.lane_chunk();
@@ -503,6 +501,7 @@ fn scatter_records_chunked(
 mod tests {
     use super::*;
     use clocksense_core::Technology;
+    use clocksense_spice::SolverKind;
 
     fn quick_cfg(samples: usize) -> McConfig {
         McConfig {

@@ -13,9 +13,10 @@
 //!   [`LANE_WIDTH`]-wide blocks: slot `s` of lane `l` lives at
 //!   `vals[s * LANE_WIDTH + l]`, so every per-slot operation of the LU
 //!   sweep is one contiguous lane-wide loop the compiler autovectorizes.
-//!   Per lane the floating-point sequence is the scalar kernel's, so the
-//!   lanes need no reassociation and agree with the scalar path bit-for-
-//!   bit up to the sign of zeros.
+//!   The LU is the sparse module's width-generic kernel, the same code
+//!   the scalar [`SparseMatrix`] solve runs at width 1, so the lanes
+//!   need no reassociation and agree with the scalar path bit-for-bit
+//!   up to the sign of zeros.
 //! * **Delta stamping** — devices whose value is identical across the
 //!   batch are stamped once into a *baseline plane*; each iteration
 //!   broadcasts the baseline across the lanes and only the differing
@@ -35,9 +36,11 @@
 //!   `(h, method)` and every subsequent Newton iteration and time step
 //!   is one lane-wide forward/back substitution.
 //!
-//! The entry point is [`transient_batch`]; [`BatchSim`] packs one aligned
-//! group explicitly. `SimOptions::batch == 0` (the default) keeps every
-//! caller on the scalar path, bit-identical to [`transient_cached`].
+//! The lockstep march takes its step ends from the same breakpoint grid
+//! as the scalar marchers. The entry point is [`transient_batch`];
+//! [`BatchSim`] packs one aligned group explicitly. Unless
+//! [`SimOptions::batching`] holds (`batch == 0` by default) every caller
+//! stays on the scalar path, bit-identical to [`transient_cached`].
 
 use std::sync::Arc;
 
@@ -46,9 +49,9 @@ use clocksense_netlist::Circuit;
 use crate::engine::{MnaSystem, Row, StampPlan};
 use crate::error::SpiceError;
 use crate::mos_eval::channel_current_lanes;
-use crate::options::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
-use crate::sparse::{LuTally, SparseMatrix, Symbolic, SymbolicCache};
-use crate::tran::{transient_cached, TranResult};
+use crate::options::{IntegrationMethod, SimOptions};
+use crate::sparse::{lane_factor, lane_substitute, LuTally, SparseMatrix, Symbolic, SymbolicCache};
+use crate::tran::{transient_cached, StepGrid, TranResult};
 
 /// Number of variants interleaved into one SoA lane block. Eight `f64`
 /// lanes fill one 64-byte cache line per pattern slot and map 1:1 onto
@@ -283,9 +286,8 @@ impl BatchSim {
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidOption`] when the options are out of
-    /// domain, the batch is empty, batching is disabled or unsupported
-    /// for these options (`batch < 2`, dense solver, adaptive timestep),
-    /// or the circuits are not structurally aligned; propagates netlist
+    /// domain, the batch is empty, [`SimOptions::batching`] is false, or
+    /// the circuits are not structurally aligned; propagates netlist
     /// validation errors from system assembly.
     pub fn pack(
         circuits: &[Circuit],
@@ -298,14 +300,10 @@ impl BatchSim {
                 "batch must contain at least one circuit".to_string(),
             ));
         }
-        if opts.batch < 2 || opts.solver != SolverKind::Sparse {
+        if !opts.batching() {
             return Err(SpiceError::InvalidOption(
-                "batching requires SimOptions { batch >= 2, solver: Sparse, .. }".to_string(),
-            ));
-        }
-        if !matches!(opts.timestep, TimestepControl::Fixed) {
-            return Err(SpiceError::InvalidOption(
-                "batching requires the fixed-grid timestep control".to_string(),
+                "batching requires SimOptions { batch >= 2, solver: Sparse, timestep: Fixed, .. }"
+                    .to_string(),
             ));
         }
         if circuits.len() > opts.batch {
@@ -451,8 +449,7 @@ impl BatchSim {
         {
             let blocks = &mut self.blocks;
             for (i, v) in self.variants.iter_mut().enumerate() {
-                match crate::dc::solve_with_continuation_pub(&v.sys, 0.0, &opts, Some(&local_cache))
-                {
+                match crate::dc::solve_with_continuation(&v.sys, 0.0, &opts, Some(&local_cache)) {
                     Ok(x0) => {
                         let block = &mut blocks[i / L];
                         block.seed_states(i % L, &v.sys, &x0);
@@ -468,34 +465,24 @@ impl BatchSim {
         // breakpoints. Identical waves across the batch (value-variant
         // campaigns) make this grid — and therefore every sample — land
         // on exactly the scalar grid.
-        let mut breakpoints: Vec<f64> = Vec::new();
-        for v in &self.variants {
-            for src in &v.sys.vsources {
-                breakpoints.extend(src.wave.breakpoints(t_stop));
-            }
-            for src in &v.sys.isources {
-                breakpoints.extend(src.wave.breakpoints(t_stop));
-            }
-        }
-        breakpoints.retain(|&t| t > 0.0 && t <= t_stop);
-        breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-        breakpoints.dedup_by(|a, b| (*a - *b).abs() < opts.tstep_min);
+        let mut grid = StepGrid::new(self.variants.iter().map(|v| &v.sys), t_stop, opts.tstep_min);
 
         // The lockstep grid is deterministic (no halving), so the sample
         // count is bounded up front; one exact reservation per variant
-        // keeps the hot recording path free of reallocation.
-        let est_samples = (t_stop / opts.tstep).ceil() as usize + breakpoints.len() + 4;
+        // keeps the hot recording path free of reallocation. A window too
+        // long to reserve for (the size overflows or the allocator
+        // refuses) grows the buffer as samples arrive instead.
+        let est_samples = ((t_stop / opts.tstep).ceil() as usize).saturating_add(grid.len() + 4);
         for v in &mut self.variants {
             let row = (v.sys.n_nodes - 1) + v.sys.vsources.len();
-            v.staged.reserve(est_samples * row);
+            let _ = v.staged.try_reserve(est_samples.saturating_mul(row));
         }
 
         let mut times: Vec<f64> = vec![0.0];
-        let mut bp_iter = breakpoints.into_iter().peekable();
         let mut t = 0.0;
         let mut force_be = true;
 
-        while t < t_stop - opts.tstep_min {
+        while grid.unfinished(t) {
             if self.variants.iter().all(|v| v.failed.is_some()) {
                 break;
             }
@@ -509,18 +496,9 @@ impl BatchSim {
                     break;
                 }
             }
-            // Exactly the scalar marcher's grid arithmetic.
-            let mut t_next = t + opts.tstep;
-            let mut hit_breakpoint = false;
-            if let Some(&bp) = bp_iter.peek() {
-                if bp <= t_next + opts.tstep_min {
-                    t_next = bp;
-                    bp_iter.next();
-                    hit_breakpoint = true;
-                }
-            }
-            if t_next > t_stop {
-                t_next = t_stop;
+            let (t_next, hit_breakpoint) = grid.step_end(t + opts.tstep);
+            if hit_breakpoint {
+                grid.consume();
             }
             let h = t_next - t;
             let be = force_be || opts.method == IntegrationMethod::BackwardEuler;
@@ -598,7 +576,7 @@ impl BatchSim {
         let vals = self.baseline.values_mut();
         for (j, (r, slots)) in sys.resistors.iter().zip(&plan.res).enumerate() {
             if !self.deltas.res_varies[j] {
-                slots.stamp_vals(vals, r.conductance);
+                slots.stamp_vals_lanes::<1>(vals, &[r.conductance]);
             }
         }
         for slots in &plan.vsrc {
@@ -618,7 +596,7 @@ impl BatchSim {
         for (j, (c, slots)) in sys.capacitors.iter().zip(&plan.caps).enumerate() {
             if !self.deltas.cap_varies[j] {
                 let geq = if be { c.farads / h } else { 2.0 * c.farads / h };
-                slots.stamp_pair_vals(vals, geq);
+                slots.stamp_pair_vals_lanes::<1>(vals, &[geq]);
             }
         }
         for &slot in &plan.node_diag {
@@ -812,208 +790,10 @@ fn record_lanes(vars: &mut [Variant], x: &[f64], dim: usize, accept: &[bool; L])
     }
 }
 
-/// The masked multi-plane LU elimination sweep: factors all `L`
-/// interleaved planes of one block in place, returning a per-lane
-/// singularity flag.
-///
-/// Per lane this performs exactly the scalar `factor` sweep — same
-/// infinity norm (accumulated in the same row/slot order), same pivot
-/// threshold, same elimination schedule through `upd_targets` — so a
-/// healthy lane's factors are bit-identical to its scalar plane's, up to
-/// the sign of zeros (the scalar `factor != 0` skip is dropped; a lane
-/// that multiplies by an exact zero adds `±0.0`, which changes nothing).
-/// A sub-threshold or non-finite pivot flags its lane and is overwritten
-/// with `1.0`, keeping the remaining lanes' arithmetic finite without
-/// branching in the inner loop.
-#[inline(always)]
-fn lane_factor_body(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
-    let n = sym.n;
-
-    // One amortised infinity-norm pass over the whole block, in the
-    // scalar sweep's row/slot order per lane.
-    let mut norm = [0.0f64; L];
-    for k in 0..n {
-        let mut row = [0.0f64; L];
-        for slot in sym.row_start[k]..sym.row_start[k + 1] {
-            for (acc, v) in row.iter_mut().zip(&vals[slot * L..slot * L + L]) {
-                *acc += v.abs();
-            }
-        }
-        for (nl, rl) in norm.iter_mut().zip(&row) {
-            *nl = nl.max(*rl);
-        }
-    }
-    let scale = (n as f64).sqrt();
-    let mut threshold = [0.0f64; L];
-    for (th, nl) in threshold.iter_mut().zip(&norm) {
-        *th = (f64::EPSILON * nl * scale).max(f64::MIN_POSITIVE);
-    }
-
-    let mut singular = [false; L];
-    for k in 0..n {
-        let dk = sym.diag[k] * L;
-        let mut pivots = [0.0f64; L];
-        for l in 0..L {
-            let p = vals[dk + l];
-            // `!(>=)` also catches a NaN pivot riding in a dead lane.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(p.abs() >= threshold[l]) {
-                singular[l] = true;
-                vals[dk + l] = 1.0;
-                pivots[l] = 1.0;
-            } else {
-                pivots[l] = p;
-            }
-        }
-        // Row k is never modified while column k eliminates, so snapshot
-        // its upper-triangle lanes once: the update loop then reads an
-        // L1-hot local and writes disjoint target rows.
-        let upper = sym.diag[k] + 1..sym.row_start[k + 1];
-        row_buf.clear();
-        row_buf.extend_from_slice(&vals[upper.start * L..upper.end * L]);
-        for idx in sym.col_start[k]..sym.col_start[k + 1] {
-            let s = sym.col_slots[idx] * L;
-            let mut factor = [0.0f64; L];
-            for ((f, v), p) in factor.iter_mut().zip(&mut vals[s..s + L]).zip(&pivots) {
-                *f = *v / p;
-                *v = *f;
-            }
-            let targets = &sym.upd_targets[sym.upd_start[idx]..sym.upd_start[idx + 1]];
-            for (j, &tslot) in targets.iter().enumerate() {
-                let src = &row_buf[j * L..j * L + L];
-                let dst = &mut vals[tslot as usize * L..tslot as usize * L + L];
-                for (d, (f, sv)) in dst.iter_mut().zip(factor.iter().zip(src)) {
-                    *d -= f * sv;
-                }
-            }
-        }
-    }
-    singular
-}
-
-/// Lane-wide forward/back substitution with the factors left by
-/// [`lane_factor`]: solves all `L` planes of one block against their
-/// interleaved right-hand sides in one sweep. Per lane the operation
-/// order is the scalar `substitute`'s (the `yk != 0` skip is dropped —
-/// see [`lane_factor_body`]).
-#[inline(always)]
-fn lane_substitute_body(sym: &Symbolic, vals: &[f64], rhs: &[f64], y: &mut [f64], out: &mut [f64]) {
-    let n = sym.n;
-    for (k, &orig) in sym.perm.iter().enumerate() {
-        y[k * L..k * L + L].copy_from_slice(&rhs[orig * L..orig * L + L]);
-    }
-    // Forward substitution in the same column-major order the fused
-    // scalar solve folds into its elimination loop.
-    for k in 0..n {
-        let mut yk = [0.0f64; L];
-        yk.copy_from_slice(&y[k * L..k * L + L]);
-        for idx in sym.col_start[k]..sym.col_start[k + 1] {
-            let i = sym.col_rows[idx] * L;
-            let s = sym.col_slots[idx] * L;
-            let vs = &vals[s..s + L];
-            for (yi, (v, ykl)) in y[i..i + L].iter_mut().zip(vs.iter().zip(&yk)) {
-                *yi -= v * ykl;
-            }
-        }
-    }
-    for k in (0..n).rev() {
-        let mut sum = [0.0f64; L];
-        sum.copy_from_slice(&y[k * L..k * L + L]);
-        for slot in sym.diag[k] + 1..sym.row_start[k + 1] {
-            let c = sym.cols[slot] * L;
-            let vs = &vals[slot * L..slot * L + L];
-            let yc = &y[c..c + L];
-            for (s, (v, ycl)) in sum.iter_mut().zip(vs.iter().zip(yc)) {
-                *s -= v * ycl;
-            }
-        }
-        let d = sym.diag[k] * L;
-        let dv = &vals[d..d + L];
-        for ((ykl, s), v) in y[k * L..k * L + L].iter_mut().zip(&sum).zip(dv) {
-            *ykl = s / v;
-        }
-    }
-    for (k, &orig) in sym.perm.iter().enumerate() {
-        out[orig * L..orig * L + L].copy_from_slice(&y[k * L..k * L + L]);
-    }
-}
-
-// SIMD dispatch: the generic bodies above are `#[inline(always)]` and the
-// `#[target_feature]` wrappers below give the compiler permission to use
-// the wider vector units when the CPU has them. No global codegen flag
-// changes (which would perturb the archived scalar goldens); the lanes
-// are independent streams, so vectorisation needs no FP reassociation
-// and every dispatch target computes identical results.
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lane_factor_avx512(
-    sym: &Symbolic,
-    vals: &mut [f64],
-    row_buf: &mut Vec<f64>,
-) -> [bool; L] {
-    lane_factor_body(sym, vals, row_buf)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_factor_avx2(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
-    lane_factor_body(sym, vals, row_buf)
-}
-
-fn lane_factor(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: the feature is detected at runtime just before the
-        // call; the bodies contain no ISA-specific intrinsics beyond
-        // what codegen emits for the detected feature.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { lane_factor_avx512(sym, vals, row_buf) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { lane_factor_avx2(sym, vals, row_buf) };
-        }
-    }
-    lane_factor_body(sym, vals, row_buf)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lane_substitute_avx512(
-    sym: &Symbolic,
-    vals: &[f64],
-    rhs: &[f64],
-    y: &mut [f64],
-    out: &mut [f64],
-) {
-    lane_substitute_body(sym, vals, rhs, y, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_substitute_avx2(
-    sym: &Symbolic,
-    vals: &[f64],
-    rhs: &[f64],
-    y: &mut [f64],
-    out: &mut [f64],
-) {
-    lane_substitute_body(sym, vals, rhs, y, out);
-}
-
-fn lane_substitute(sym: &Symbolic, vals: &[f64], rhs: &[f64], y: &mut [f64], out: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: as in `lane_factor`.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { lane_substitute_avx512(sym, vals, rhs, y, out) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { lane_substitute_avx2(sym, vals, rhs, y, out) };
-        }
-    }
-    lane_substitute_body(sym, vals, rhs, y, out);
-}
+// SIMD dispatch: the `*_body` functions are `#[inline(always)]` and the
+// `#[target_feature]` wrappers below let the compiler use the wider
+// vector units when the CPU has them, as for the LU kernels in
+// `sparse`; every dispatch target computes identical results.
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -1030,7 +810,9 @@ unsafe fn lanes_finite_avx2(x_new: &[f64], dim: usize) -> [bool; L] {
 fn lanes_finite(x_new: &[f64], dim: usize) -> [bool; L] {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: as in `lane_factor`.
+        // SAFETY: the feature is detected at runtime just before the
+        // call; the bodies contain no ISA-specific intrinsics beyond
+        // what codegen emits for the detected feature.
         if std::arch::is_x86_feature_detected!("avx512f") {
             return unsafe { lanes_finite_avx512(x_new, dim) };
         }
@@ -1074,7 +856,7 @@ fn converge_update_lanes(
 ) -> [bool; L] {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: as in `lane_factor`.
+        // SAFETY: as in `lanes_finite`.
         if std::arch::is_x86_feature_detected!("avx512f") {
             return unsafe { converge_update_lanes_avx512(x, x_new, n_v, dim, opts) };
         }
@@ -1250,7 +1032,7 @@ impl LaneBlock {
     fn companions_lanes(&mut self, h: f64, be: bool) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lane_factor`.
+            // SAFETY: as in `lanes_finite`.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.companions_lanes_avx512(h, be) };
             }
@@ -1276,7 +1058,7 @@ impl LaneBlock {
     fn accept_states(&mut self, sys: &MnaSystem) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lane_factor`.
+            // SAFETY: as in `lanes_finite`.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.accept_states_avx512(sys) };
             }
@@ -1449,7 +1231,7 @@ impl LaneBlock {
             self.stamp_lanes(plan, deltas, baseline, h, be);
             self.rhs.copy_from_slice(&self.rhs_base);
             self.stamp_mos_lanes(vars, plan, opts.gmin);
-            let singular = lane_factor(sym, &mut self.vals, &mut self.row_buf);
+            let singular = lane_factor::<L>(sym, &mut self.vals, &mut self.row_buf);
             tally.lane_factor_sweeps += 1;
             let live = solving.iter().filter(|&&s| s).count() as u64;
             tally.lu.refactors += live;
@@ -1463,7 +1245,7 @@ impl LaneBlock {
             if !solving.iter().any(|&s| s) {
                 break;
             }
-            lane_substitute(sym, &self.vals, &self.rhs, &mut self.y, &mut self.x_new);
+            lane_substitute::<L>(sym, &self.vals, &self.rhs, &mut self.y, &mut self.x_new);
             for (l, v) in vars.iter_mut().enumerate() {
                 if !solving[l] {
                     continue;
@@ -1531,7 +1313,7 @@ impl LaneBlock {
         let mut factored_now = 0u64;
         if !self.has_factored || self.factored_key != key {
             self.stamp_lanes(plan, deltas, baseline, h, be);
-            let singular = lane_factor(sym, &mut self.vals, &mut self.row_buf);
+            let singular = lane_factor::<L>(sym, &mut self.vals, &mut self.row_buf);
             tally.lane_factor_sweeps += 1;
             let live = vars.iter().filter(|v| v.failed.is_none()).count() as u64;
             tally.lu.refactors += live;
@@ -1552,7 +1334,7 @@ impl LaneBlock {
         self.build_rhs_base(vars, plan, t_next);
         // The linear RHS has no iterate-dependent part, so rhs_base is
         // the whole RHS and one substitution serves every walk iteration.
-        lane_substitute(
+        lane_substitute::<L>(
             sym,
             &self.factored,
             &self.rhs_base,
@@ -1667,8 +1449,9 @@ impl Variant {
 ///
 /// The scalar fallback (per variant) triggers when:
 ///
-/// * `opts.batch < 2`, the solver is [`Dense`](SolverKind::Dense), or the
-///   timestep control is adaptive — batching is then disabled wholesale;
+/// * [`SimOptions::batching`] is false (`opts.batch < 2`, the
+///   [`Dense`](crate::SolverKind::Dense) solver, or an adaptive timestep
+///   control) — batching is then disabled wholesale;
 /// * a circuit aligns with no other circuit in the slice (singleton
 ///   group);
 /// * a variant **drops out** of its batch: its DC solve or a lockstep
@@ -1719,10 +1502,7 @@ pub fn transient_batch(
     cache: &SymbolicCache,
 ) -> Vec<Result<TranResult, SpiceError>> {
     let scalar = |ckt: &Circuit| transient_cached(ckt, t_stop, opts, cache);
-    if opts.batch < 2
-        || opts.solver != SolverKind::Sparse
-        || !matches!(opts.timestep, TimestepControl::Fixed)
-    {
+    if !opts.batching() {
         return circuits.iter().map(scalar).collect();
     }
 
@@ -1790,6 +1570,7 @@ pub fn transient_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::SolverKind;
     use clocksense_netlist::{MosParams, MosPolarity, SourceWave, GROUND};
 
     fn batch_opts(k: usize) -> SimOptions {
@@ -1979,6 +1760,30 @@ mod tests {
         };
         assert!(BatchSim::pack(&aligned, &dense, &cache).is_err());
         assert!(BatchSim::pack(&aligned, &batch_opts(2), &cache).is_ok());
+    }
+
+    #[test]
+    fn long_window_is_not_reserved_up_front() {
+        // 1e7 s at a 1 ps step is ~1e19 samples per variant: the staging
+        // buffer cannot be sized for that, so the batch must start anyway
+        // and stop at the cancelled deadline like the scalar path does.
+        let deadline = clocksense_exec::Deadline::manual();
+        deadline.cancel();
+        let opts = SimOptions {
+            deadline: Some(deadline),
+            ..batch_opts(2)
+        };
+        let circuits = [
+            rc_chain(1e3, 2e3, 50e-15, 20e-15),
+            rc_chain(2e3, 2e3, 40e-15, 20e-15),
+        ];
+        let cache = SymbolicCache::new();
+        for result in transient_batch(&circuits, 1e7, &opts, &cache) {
+            assert!(
+                matches!(result, Err(SpiceError::DeadlineExceeded { .. })),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

@@ -46,18 +46,10 @@ impl DcSolution {
     }
 }
 
-/// Crate-internal entry used by the transient analysis for its `t = 0`
-/// initial condition.
-pub(crate) fn solve_with_continuation_pub(
-    sys: &MnaSystem,
-    t: f64,
-    opts: &SimOptions,
-    cache: Option<&SymbolicCache>,
-) -> Result<Vec<f64>, SpiceError> {
-    solve_with_continuation(sys, t, opts, cache)
-}
-
-fn solve_with_continuation(
+/// Solution vector of `sys` at time `t`: a direct Newton solve, then gmin
+/// stepping, then source stepping. Shared by the DC entry points and the
+/// transient `t = 0` initial condition.
+pub(crate) fn solve_with_continuation(
     sys: &MnaSystem,
     t: f64,
     opts: &SimOptions,

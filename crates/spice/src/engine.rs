@@ -107,30 +107,12 @@ impl PairSlots {
         }
     }
 
-    /// [`stamp`](PairSlots::stamp) straight into a sparse value plane —
-    /// the batched kernel writes through precomputed CSR slots without an
-    /// `MnaMatrix` wrapper per variant.
-    #[inline]
-    pub fn stamp_vals(&self, vals: &mut [f64], g: f64) {
-        if let Some(s) = self.aa {
-            vals[s] += g;
-        }
-        if let Some(s) = self.ab {
-            vals[s] -= g;
-        }
-        if let Some(s) = self.bb {
-            vals[s] += g;
-        }
-        if let Some(s) = self.ba {
-            vals[s] -= g;
-        }
-    }
-
-    /// [`stamp_vals`](PairSlots::stamp_vals) across `L` interleaved lane
-    /// planes: slot `s` of lane `l` lives at `vals[s * L + l]`, so each
-    /// slot update is one contiguous `L`-wide add the compiler turns
-    /// into vector ops. Per lane the operation order matches the scalar
-    /// stamp exactly.
+    /// [`stamp`](PairSlots::stamp) straight into `L` interleaved sparse
+    /// value planes, without an `MnaMatrix` wrapper: slot `s` of lane `l`
+    /// lives at `vals[s * L + l]`, so each slot update is one contiguous
+    /// `L`-wide add the compiler turns into vector ops. Per lane the
+    /// operation order matches the scalar stamp exactly; `L = 1` is a
+    /// plain CSR value plane.
     #[inline]
     pub fn stamp_vals_lanes<const L: usize>(&self, vals: &mut [f64], g: &[f64; L]) {
         if let Some(s) = self.aa {
@@ -177,16 +159,9 @@ impl CapSlots {
         }
     }
 
-    /// Only the conductance half of the companion, into a raw value plane
-    /// — used when building the matrix side of a batched variant whose
-    /// `ieq` lands on a per-variant RHS later.
-    #[inline]
-    pub fn stamp_pair_vals(&self, vals: &mut [f64], geq: f64) {
-        self.pair.stamp_vals(vals, geq);
-    }
-
-    /// Lane-interleaved [`stamp_pair_vals`](CapSlots::stamp_pair_vals):
-    /// one conductance per lane into an `L`-wide SoA value plane.
+    /// Only the conductance half of the companion, one conductance per
+    /// lane into an `L`-wide SoA value plane — the matrix side of a
+    /// batched step whose `ieq` lands on the per-lane RHS later.
     #[inline]
     pub fn stamp_pair_vals_lanes<const L: usize>(&self, vals: &mut [f64], geq: &[f64; L]) {
         self.pair.stamp_vals_lanes(vals, geq);

@@ -192,13 +192,16 @@ impl DenseMatrix {
     }
 }
 
-/// Reusable scratch buffers for [`DenseMatrix::solve_into`]: the row
-/// permutation and the forward-eliminated RHS. One scratch serves solves
-/// of any dimension; buffers grow to the largest system seen and stay.
+/// Reusable scratch buffers for [`DenseMatrix::solve_into`] and
+/// [`SparseMatrix::solve_into`](crate::SparseMatrix::solve_into): the row
+/// permutation, the forward-eliminated RHS and the sparse sweep's pivot
+/// row snapshot. One scratch serves solves of any dimension; buffers grow
+/// to the largest system seen and stay.
 #[derive(Debug, Clone, Default)]
 pub struct LuScratch {
     perm: Vec<usize>,
     pub(crate) rhs: Vec<f64>,
+    pub(crate) row_buf: Vec<f64>,
 }
 
 impl LuScratch {

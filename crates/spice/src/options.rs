@@ -267,10 +267,10 @@ pub struct SimOptions {
     /// archived golden results stand unchanged.
     ///
     /// Batching requires the [`Sparse`](SolverKind::Sparse) solver and
-    /// the [`Fixed`](TimestepControl::Fixed) timestep control; other
-    /// combinations validate fine but fall back to the scalar path
-    /// variant by variant (see `DESIGN.md` §3.5 for the exact fallback
-    /// conditions).
+    /// the [`Fixed`](TimestepControl::Fixed) timestep control
+    /// ([`batching`](SimOptions::batching)); other combinations validate
+    /// fine but fall back to the scalar path variant by variant (see
+    /// `DESIGN.md` §3.5 for the exact fallback conditions).
     ///
     /// Internally the kernel packs variants into SIMD-width lane blocks
     /// of [`LANE_WIDTH`](crate::LANE_WIDTH) (= 8) value planes, so batch
@@ -335,6 +335,29 @@ impl SimOptions {
             return 0;
         }
         self.batch.next_multiple_of(crate::LANE_WIDTH)
+    }
+
+    /// Whether [`transient_batch`](crate::transient_batch) packs variants
+    /// into the lockstep lane kernel under these options: a
+    /// [`batch`](SimOptions::batch) of at least 2, the
+    /// [`Sparse`](SolverKind::Sparse) solver and the
+    /// [`Fixed`](TimestepControl::Fixed) timestep control. Otherwise every
+    /// variant runs the scalar path.
+    ///
+    /// ```
+    /// use clocksense_spice::{SimOptions, SolverKind, TimestepControl};
+    ///
+    /// let sparse = SimOptions { solver: SolverKind::Sparse, batch: 8, ..SimOptions::default() };
+    /// assert!(sparse.batching());
+    /// assert!(!SimOptions { batch: 8, ..SimOptions::default() }.batching()); // dense
+    /// let adaptive = TimestepControl::Adaptive { tstep_max: 10e-12, lte_tol: 1.0 };
+    /// assert!(!SimOptions { timestep: adaptive, ..sparse }.batching());
+    /// ```
+    #[must_use]
+    pub fn batching(&self) -> bool {
+        self.batch >= 2
+            && self.solver == SolverKind::Sparse
+            && matches!(self.timestep, TimestepControl::Fixed)
     }
 
     /// Checks that every option lies in its valid domain.

@@ -23,6 +23,12 @@
 //!   [`solve_into`](SparseMatrix::solve_into) is a **numeric-refactor
 //!   only**: Gaussian elimination over the fixed pattern in the fixed
 //!   order, no searching, no allocation.
+//! * `lane_factor` / `lane_substitute` — the one numeric LU kernel,
+//!   generic over a lane width `W`: `W` value planes interleave so slot
+//!   `s` of lane `l` lives at `vals[s * W + l]`. At `W = 1` that is the
+//!   plain CSR plane of a [`SparseMatrix`], whose solve is the width-1
+//!   call; the batched kernel runs the same code at
+//!   [`LANE_WIDTH`](crate::LANE_WIDTH).
 //! * [`SymbolicCache`] — a thread-safe topology-keyed cache so batched
 //!   campaigns (fault variants, Monte-Carlo samples) analyse each
 //!   topology once and clone only numeric state per variant.
@@ -35,7 +41,7 @@
 //! order. MNA node rows carry `gmin` on the diagonal and are near
 //! diagonally dominant, so no numeric pivoting is needed in practice; a
 //! pivot that still falls below the norm-relative threshold (the same
-//! `ε · ‖A‖_∞ · √n` rule as the dense solver) reports
+//! `ε · ‖A‖_∞ · √n` rule as the dense solver), or is not finite, reports
 //! [`SpiceError::SingularMatrix`] rather than dividing through roundoff.
 //!
 //! # Examples
@@ -464,120 +470,6 @@ impl SparseMatrix {
         &self.vals
     }
 
-    /// Numeric LU factorisation over the fixed pattern, **without** a
-    /// right-hand side: afterwards the value plane holds the L and U
-    /// factors and any number of RHS vectors can be solved through
-    /// [`substitute`](SparseMatrix::substitute). Splitting the fold apart
-    /// performs exactly the same floating-point operations in the same
-    /// order as [`solve_into`](SparseMatrix::solve_into) (the per-column
-    /// `y` updates commute out of the elimination loop untouched), so a
-    /// factor-then-substitute solve is bit-identical to the fused one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] on a sub-threshold pivot.
-    ///
-    /// The lane-vectorised batch kernel performs this sweep over eight
-    /// interleaved planes at once (`batch::lane_factor`); this scalar
-    /// split is kept as the reference the bit-identity pinning tests
-    /// check the fused solve against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn factor(&mut self) -> Result<(), SpiceError> {
-        let sym = &*self.sym;
-        let n = sym.n;
-        let tm = crate::metrics::metrics();
-        tm.numeric_refactors.incr();
-        if self.reused {
-            tm.symbolic_reuse_hits.incr();
-        }
-        self.reused = true;
-
-        let norm = (0..n)
-            .map(|k| {
-                self.vals[sym.row_start[k]..sym.row_start[k + 1]]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0f64, f64::max);
-        let threshold = (f64::EPSILON * norm * (n as f64).sqrt()).max(f64::MIN_POSITIVE);
-
-        let vals = &mut self.vals;
-        for k in 0..n {
-            let pivot = vals[sym.diag[k]];
-            if pivot.abs() < threshold {
-                return Err(SpiceError::SingularMatrix);
-            }
-            for idx in sym.col_start[k]..sym.col_start[k + 1] {
-                let s_ik = sym.col_slots[idx];
-                let factor = vals[s_ik] / pivot;
-                vals[s_ik] = factor;
-                if factor != 0.0 {
-                    // row_i -= factor * row_k over columns > k, through
-                    // the precomputed elimination schedule (audited once
-                    // at analysis time).
-                    let targets = &sym.upd_targets[sym.upd_start[idx]..sym.upd_start[idx + 1]];
-                    for (a, &t) in (sym.diag[k] + 1..sym.row_start[k + 1]).zip(targets) {
-                        vals[t as usize] -= factor * vals[a];
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Forward + back substitution with the factors left by
-    /// [`factor`](SparseMatrix::factor), writing the solution into `out`.
-    /// May be called repeatedly — the multi-RHS pass of the batched
-    /// kernel: one factorisation, K substitutions over contiguous slot
-    /// arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] when the solution is
-    /// non-finite.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn substitute(
-        &self,
-        b: &[f64],
-        scratch: &mut LuScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), SpiceError> {
-        let sym = &*self.sym;
-        let n = sym.n;
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        scratch.rhs.clear();
-        scratch.rhs.extend(sym.perm.iter().map(|&orig| b[orig]));
-        let y = &mut scratch.rhs;
-        let vals = &self.vals;
-        // Forward substitution in the same column-major order the fused
-        // solve folds into its elimination loop.
-        for k in 0..n {
-            let yk = y[k];
-            if yk != 0.0 {
-                for idx in sym.col_start[k]..sym.col_start[k + 1] {
-                    y[sym.col_rows[idx]] -= vals[sym.col_slots[idx]] * yk;
-                }
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = y[k];
-            for slot in sym.diag[k] + 1..sym.row_start[k + 1] {
-                sum -= vals[slot] * y[sym.cols[slot]];
-            }
-            y[k] = sum / vals[sym.diag[k]];
-        }
-        out.clear();
-        out.resize(n, 0.0);
-        for (k, &orig) in sym.perm.iter().enumerate() {
-            out[orig] = y[k];
-        }
-        if out.iter().any(|v| !v.is_finite()) {
-            return Err(SpiceError::SingularMatrix);
-        }
-        Ok(())
-    }
-
     /// Solves `A x = b`, allocating the scratch and output buffers.
     ///
     /// # Errors
@@ -593,7 +485,7 @@ impl SparseMatrix {
     /// Solves `A x = b` by numeric LU refactorisation over the fixed
     /// symbolic pattern, writing the solution into `out`. The elimination
     /// order and fill pattern come from the shared [`Symbolic`]; this call
-    /// performs no searching and no allocation (the scratch RHS buffer is
+    /// performs no searching and no allocation (the scratch buffers are
     /// reused). The factorisation consumes the matrix values — callers
     /// re-stamp every Newton iteration anyway.
     ///
@@ -601,7 +493,7 @@ impl SparseMatrix {
     ///
     /// Returns [`SpiceError::SingularMatrix`] when a pivot drops below the
     /// norm-relative threshold `ε · ‖A‖_∞ · √n` (same rule as the dense
-    /// solver), or when the solution is non-finite.
+    /// solver) or is not finite, or when the solution is non-finite.
     pub fn solve_into(
         &mut self,
         b: &[f64],
@@ -618,6 +510,9 @@ impl SparseMatrix {
     /// counts accumulated into `tally` instead of the global atomics —
     /// the Newton inner loop calls this and flushes once per solve, so
     /// the per-iteration hot path touches no shared cache lines.
+    ///
+    /// The value plane is the width-1 case of the lane layout, so this is
+    /// [`lane_factor`] and [`lane_substitute`] at `W = 1`.
     pub(crate) fn solve_into_tallied(
         &mut self,
         b: &[f64],
@@ -634,69 +529,260 @@ impl SparseMatrix {
         }
         self.reused = true;
 
-        // Infinity norm of the stamped matrix (fill slots are still zero),
-        // anchoring the pivot threshold to the system's scale.
-        let norm = (0..n)
-            .map(|k| {
-                self.vals[sym.row_start[k]..sym.row_start[k + 1]]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0f64, f64::max);
-        let threshold = (f64::EPSILON * norm * (n as f64).sqrt()).max(f64::MIN_POSITIVE);
-
-        // Permute the RHS into elimination order.
-        scratch.rhs.clear();
-        scratch.rhs.extend(sym.perm.iter().map(|&orig| b[orig]));
-        let y = &mut scratch.rhs;
-        let vals = &mut self.vals;
-
-        // Factor column by column, folding the forward substitution in:
-        // by the time column k is eliminated, y[k] has received every
-        // update from columns < k.
-        for k in 0..n {
-            let pivot = vals[sym.diag[k]];
-            if pivot.abs() < threshold {
-                return Err(SpiceError::SingularMatrix);
-            }
-            let yk = y[k];
-            for idx in sym.col_start[k]..sym.col_start[k + 1] {
-                let i = sym.col_rows[idx];
-                let s_ik = sym.col_slots[idx];
-                let factor = vals[s_ik] / pivot;
-                vals[s_ik] = factor;
-                if factor != 0.0 {
-                    // row_i -= factor * row_k over columns > k, through
-                    // the precomputed elimination schedule (audited once
-                    // at analysis time).
-                    let targets = &sym.upd_targets[sym.upd_start[idx]..sym.upd_start[idx + 1]];
-                    for (a, &t) in (sym.diag[k] + 1..sym.row_start[k + 1]).zip(targets) {
-                        vals[t as usize] -= factor * vals[a];
-                    }
-                    y[i] -= factor * yk;
-                }
-            }
+        let [singular] = lane_factor::<1>(sym, &mut self.vals, &mut scratch.row_buf);
+        if singular {
+            return Err(SpiceError::SingularMatrix);
         }
-
-        // Back substitution, in place over the permuted solution.
-        for k in (0..n).rev() {
-            let mut sum = y[k];
-            for slot in sym.diag[k] + 1..sym.row_start[k + 1] {
-                sum -= vals[slot] * y[sym.cols[slot]];
-            }
-            y[k] = sum / vals[sym.diag[k]];
-        }
+        scratch.rhs.resize(n, 0.0);
         out.clear();
         out.resize(n, 0.0);
-        for (k, &orig) in sym.perm.iter().enumerate() {
-            out[orig] = y[k];
-        }
+        lane_substitute::<1>(sym, &self.vals, b, &mut scratch.rhs, out);
         if out.iter().any(|v| !v.is_finite()) {
             return Err(SpiceError::SingularMatrix);
         }
         Ok(())
     }
+}
+
+/// The sparse LU elimination sweep over `W` interleaved value planes:
+/// slot `s` of lane `l` lives at `vals[s * W + l]`, so every per-slot
+/// operation is one contiguous `W`-wide loop the compiler autovectorizes.
+/// Factors all planes in place and returns a per-lane singularity flag.
+///
+/// Per lane: infinity norm accumulated in row/slot order, the pivot
+/// threshold `ε · ‖A‖_∞ · √n`, and the elimination schedule through
+/// `upd_targets`. A sub-threshold or non-finite pivot flags its lane and
+/// is overwritten with `1.0`, keeping the remaining lanes' arithmetic
+/// finite without branching in the inner loop.
+///
+/// At `W = 1` (the scalar [`SparseMatrix`]) a zero multiplier skips its
+/// row update; lane blocks drop the skip to stay branch-free, which can
+/// only change the sign of a zero (`x - 0·y`). The batched kernel runs
+/// this at [`LANE_WIDTH`](crate::LANE_WIDTH).
+#[inline(always)]
+fn lane_factor_body<const W: usize>(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+) -> [bool; W] {
+    let n = sym.n;
+
+    // One amortised infinity-norm pass over the whole block (fill slots
+    // are still zero), anchoring the pivot threshold to the system scale.
+    let mut norm = [0.0f64; W];
+    for k in 0..n {
+        let mut row = [0.0f64; W];
+        for slot in sym.row_start[k]..sym.row_start[k + 1] {
+            for (acc, v) in row.iter_mut().zip(&vals[slot * W..slot * W + W]) {
+                *acc += v.abs();
+            }
+        }
+        for (nl, rl) in norm.iter_mut().zip(&row) {
+            *nl = nl.max(*rl);
+        }
+    }
+    let scale = (n as f64).sqrt();
+    let mut threshold = [0.0f64; W];
+    for (th, nl) in threshold.iter_mut().zip(&norm) {
+        *th = (f64::EPSILON * nl * scale).max(f64::MIN_POSITIVE);
+    }
+
+    let mut singular = [false; W];
+    for k in 0..n {
+        let dk = sym.diag[k] * W;
+        let mut pivots = [0.0f64; W];
+        for l in 0..W {
+            let p = vals[dk + l];
+            // `!(>=)` also catches a NaN pivot.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(p.abs() >= threshold[l]) {
+                singular[l] = true;
+                vals[dk + l] = 1.0;
+                pivots[l] = 1.0;
+            } else {
+                pivots[l] = p;
+            }
+        }
+        // Row k is never modified while column k eliminates, so snapshot
+        // its upper-triangle lanes once: the update loop then reads an
+        // L1-hot local and writes disjoint target rows.
+        let upper = sym.diag[k] + 1..sym.row_start[k + 1];
+        row_buf.clear();
+        row_buf.extend_from_slice(&vals[upper.start * W..upper.end * W]);
+        for idx in sym.col_start[k]..sym.col_start[k + 1] {
+            let s = sym.col_slots[idx] * W;
+            let mut factor = [0.0f64; W];
+            for ((f, v), p) in factor.iter_mut().zip(&mut vals[s..s + W]).zip(&pivots) {
+                *f = *v / p;
+                *v = *f;
+            }
+            if W == 1 && factor[0] == 0.0 {
+                continue;
+            }
+            // row_i -= factor * row_k over columns > k, through the
+            // precomputed elimination schedule (audited at analysis time).
+            let targets = &sym.upd_targets[sym.upd_start[idx]..sym.upd_start[idx + 1]];
+            for (j, &tslot) in targets.iter().enumerate() {
+                let src = &row_buf[j * W..j * W + W];
+                let dst = &mut vals[tslot as usize * W..tslot as usize * W + W];
+                for (d, (f, sv)) in dst.iter_mut().zip(factor.iter().zip(src)) {
+                    *d -= f * sv;
+                }
+            }
+        }
+    }
+    singular
+}
+
+/// Forward/back substitution with the factors [`lane_factor`] left in
+/// `vals`: solves all `W` planes against their interleaved right-hand
+/// sides `rhs` (original row order) into `out`, using `y` as the
+/// permuted scratch. At `W = 1` a zero multiplier skips its update, as in
+/// [`lane_factor_body`].
+#[inline(always)]
+fn lane_substitute_body<const W: usize>(
+    sym: &Symbolic,
+    vals: &[f64],
+    rhs: &[f64],
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    let n = sym.n;
+    for (k, &orig) in sym.perm.iter().enumerate() {
+        y[k * W..k * W + W].copy_from_slice(&rhs[orig * W..orig * W + W]);
+    }
+    // Forward substitution, column-major: y[k] has received every update
+    // from columns < k by the time column k reads it.
+    for k in 0..n {
+        let mut yk = [0.0f64; W];
+        yk.copy_from_slice(&y[k * W..k * W + W]);
+        for idx in sym.col_start[k]..sym.col_start[k + 1] {
+            let i = sym.col_rows[idx] * W;
+            let s = sym.col_slots[idx] * W;
+            let vs = &vals[s..s + W];
+            if W == 1 && vs[0] == 0.0 {
+                continue;
+            }
+            for (yi, (v, ykl)) in y[i..i + W].iter_mut().zip(vs.iter().zip(&yk)) {
+                *yi -= v * ykl;
+            }
+        }
+    }
+    for k in (0..n).rev() {
+        let mut sum = [0.0f64; W];
+        sum.copy_from_slice(&y[k * W..k * W + W]);
+        for slot in sym.diag[k] + 1..sym.row_start[k + 1] {
+            let c = sym.cols[slot] * W;
+            let vs = &vals[slot * W..slot * W + W];
+            let yc = &y[c..c + W];
+            for (s, (v, ycl)) in sum.iter_mut().zip(vs.iter().zip(yc)) {
+                *s -= v * ycl;
+            }
+        }
+        let d = sym.diag[k] * W;
+        let dv = &vals[d..d + W];
+        for ((ykl, s), v) in y[k * W..k * W + W].iter_mut().zip(&sum).zip(dv) {
+            *ykl = s / v;
+        }
+    }
+    for (k, &orig) in sym.perm.iter().enumerate() {
+        out[orig * W..orig * W + W].copy_from_slice(&y[k * W..k * W + W]);
+    }
+}
+
+// SIMD dispatch: the generic bodies above are `#[inline(always)]` and the
+// `#[target_feature]` wrappers below give the compiler permission to use
+// the wider vector units when the CPU has them. No global codegen flag
+// changes (which would perturb the archived scalar goldens); the lanes
+// are independent streams, so vectorisation needs no FP reassociation
+// and every dispatch target computes identical results.
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_factor_avx512<const W: usize>(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+) -> [bool; W] {
+    lane_factor_body(sym, vals, row_buf)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_factor_avx2<const W: usize>(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+) -> [bool; W] {
+    lane_factor_body(sym, vals, row_buf)
+}
+
+/// Factors the `W` interleaved planes of `vals` in place; see
+/// [`lane_factor_body`]. Returns the per-lane singularity flags.
+pub(crate) fn lane_factor<const W: usize>(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+) -> [bool; W] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the feature is detected at runtime just before the
+        // call; the bodies contain no ISA-specific intrinsics beyond
+        // what codegen emits for the detected feature.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return unsafe { lane_factor_avx512(sym, vals, row_buf) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return unsafe { lane_factor_avx2(sym, vals, row_buf) };
+        }
+    }
+    lane_factor_body(sym, vals, row_buf)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lane_substitute_avx512<const W: usize>(
+    sym: &Symbolic,
+    vals: &[f64],
+    rhs: &[f64],
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    lane_substitute_body::<W>(sym, vals, rhs, y, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_substitute_avx2<const W: usize>(
+    sym: &Symbolic,
+    vals: &[f64],
+    rhs: &[f64],
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    lane_substitute_body::<W>(sym, vals, rhs, y, out);
+}
+
+/// Solves the `W` planes factored by [`lane_factor`]; see
+/// [`lane_substitute_body`].
+pub(crate) fn lane_substitute<const W: usize>(
+    sym: &Symbolic,
+    vals: &[f64],
+    rhs: &[f64],
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: as in `lane_factor`.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return unsafe { lane_substitute_avx512::<W>(sym, vals, rhs, y, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return unsafe { lane_substitute_avx2::<W>(sym, vals, rhs, y, out) };
+        }
+    }
+    lane_substitute_body::<W>(sym, vals, rhs, y, out);
 }
 
 /// Cache key: the full canonical structure, so equal keys really are equal
@@ -913,63 +999,38 @@ mod tests {
     }
 
     #[test]
-    fn factor_then_substitute_is_bit_identical_to_fused_solve() {
-        // The batched kernel's multi-RHS split must not perturb a single
-        // bit relative to solve_into — same elimination order, same
-        // pivot threshold, only the y updates hoisted out.
-        let n = 16;
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut rnd = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed as f64 / u64::MAX as f64) - 0.5
-        };
-        let mut pattern: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        let mut entries = Vec::new();
-        for i in 0..n {
-            for _ in 0..4 {
-                let j = ((rnd() + 0.5) * n as f64) as usize % n;
-                if i != j {
-                    pattern.push((i, j));
-                    entries.push((i, j, rnd()));
-                }
+    fn non_finite_entry_is_singular() {
+        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0));
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (r, c) in full_pattern(2) {
+                let mut m = SparseMatrix::new(Arc::clone(&sym));
+                m.set(0, 0, 2.0);
+                m.set(0, 1, 1.0);
+                m.set(1, 0, 1.0);
+                m.set(1, 1, 3.0);
+                m.set(r, c, poison);
+                let mut out = Vec::new();
+                assert_eq!(
+                    m.solve_into(&[1.0, 2.0], &mut LuScratch::new(), &mut out),
+                    Err(SpiceError::SingularMatrix),
+                    "{poison} at ({r},{c})"
+                );
             }
         }
-        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0));
-        let mut fused = SparseMatrix::new(Arc::clone(&sym));
-        let mut split = SparseMatrix::new(Arc::clone(&sym));
-        for i in 0..n {
-            fused.add(i, i, 5.0);
-            split.add(i, i, 5.0);
-        }
-        for &(i, j, v) in &entries {
-            fused.add(i, j, v);
-            split.add(i, j, v);
-        }
-        let b1: Vec<f64> = (0..n).map(|_| rnd()).collect();
-        let b2: Vec<f64> = (0..n).map(|_| rnd()).collect();
+    }
 
-        let x1_fused = fused.solve(&b1).unwrap();
-        split.factor().unwrap();
-        let mut scratch = LuScratch::new();
-        let mut x1_split = Vec::new();
-        split.substitute(&b1, &mut scratch, &mut x1_split).unwrap();
-        assert_eq!(x1_fused, x1_split, "factor+substitute != fused solve");
-
-        // The factors survive for further right-hand sides; re-stamping
-        // the fused matrix is required because solve_into consumed it.
-        let mut fused2 = SparseMatrix::new(Arc::clone(&sym));
-        for i in 0..n {
-            fused2.add(i, i, 5.0);
-        }
-        for &(i, j, v) in &entries {
-            fused2.add(i, j, v);
-        }
-        let x2_fused = fused2.solve(&b2).unwrap();
-        let mut x2_split = Vec::new();
-        split.substitute(&b2, &mut scratch, &mut x2_split).unwrap();
-        assert_eq!(x2_fused, x2_split, "second RHS diverged");
+    #[test]
+    fn scalar_solve_skips_zero_multipliers() {
+        // The (1, 0) multiplier is an exact zero and y[1] is -0.0: an
+        // unskipped update would compute -0.0 - (0 * -1) = +0.0.
+        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0));
+        let mut m = SparseMatrix::new(sym);
+        m.set(0, 0, 2.0);
+        m.set(0, 1, 1.0);
+        m.set(1, 1, 3.0);
+        let x = m.solve(&[-1.0, -0.0]).unwrap();
+        assert_eq!(x[0], -0.5);
+        assert!(x[1] == 0.0 && x[1].is_sign_negative(), "x[1] = {}", x[1]);
     }
 
     #[test]

@@ -419,19 +419,8 @@ fn transient_with(
     let sys = MnaSystem::build(circuit)?;
 
     // Initial condition: DC operating point at t = 0.
-    let x0 = crate::dc::solve_with_continuation_pub(&sys, 0.0, opts, cache)?;
-
-    // Collect and dedupe source breakpoints inside (0, t_stop].
-    let mut breakpoints: Vec<f64> = Vec::new();
-    for v in &sys.vsources {
-        breakpoints.extend(v.wave.breakpoints(t_stop));
-    }
-    for i in &sys.isources {
-        breakpoints.extend(i.wave.breakpoints(t_stop));
-    }
-    breakpoints.retain(|&t| t > 0.0 && t <= t_stop);
-    breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    breakpoints.dedup_by(|a, b| (*a - *b).abs() < opts.tstep_min);
+    let x0 = crate::dc::solve_with_continuation(&sys, 0.0, opts, cache)?;
+    let grid = StepGrid::new([&sys], t_stop, opts.tstep_min);
 
     let states: Vec<CapState> = sys
         .capacitors
@@ -453,23 +442,13 @@ fn transient_with(
 
     let mut ws = TranWorkspace::new(&sys, opts, cache);
     match opts.timestep {
-        TimestepControl::Fixed => march_fixed(
-            &sys,
-            opts,
-            t_stop,
-            breakpoints,
-            &mut ws,
-            x0,
-            states,
-            &mut samples,
-        )?,
+        TimestepControl::Fixed => march_fixed(&sys, opts, grid, &mut ws, x0, states, &mut samples)?,
         TimestepControl::Adaptive { tstep_max, lte_tol } => march_adaptive(
             &sys,
             opts,
-            t_stop,
             tstep_max,
             lte_tol,
-            breakpoints,
+            grid,
             &mut ws,
             x0,
             states,
@@ -484,6 +463,90 @@ fn transient_with(
         node_names: sys.node_names.clone(),
         source_names: sys.vsources.iter().map(|v| v.name.clone()).collect(),
     })
+}
+
+/// The transient time grid: the source breakpoints inside `(0, t_stop]`
+/// and the arithmetic that places each step end. The fixed, adaptive and
+/// batched lockstep marchers all step through one of these; each decides
+/// for itself when it has passed the pending breakpoint
+/// ([`consume`](StepGrid::consume)).
+pub(crate) struct StepGrid {
+    /// Sorted; breakpoints closer than `tstep_min` merged into the first.
+    breakpoints: Vec<f64>,
+    /// Index of the pending breakpoint.
+    next: usize,
+    t_stop: f64,
+    tstep_min: f64,
+}
+
+impl StepGrid {
+    /// Collects the breakpoints of every voltage and current source of
+    /// `systems` (the union, for a batch) inside `(0, t_stop]`.
+    pub(crate) fn new<'a>(
+        systems: impl IntoIterator<Item = &'a MnaSystem>,
+        t_stop: f64,
+        tstep_min: f64,
+    ) -> StepGrid {
+        let mut breakpoints: Vec<f64> = Vec::new();
+        for sys in systems {
+            for v in &sys.vsources {
+                breakpoints.extend(v.wave.breakpoints(t_stop));
+            }
+            for i in &sys.isources {
+                breakpoints.extend(i.wave.breakpoints(t_stop));
+            }
+        }
+        breakpoints.retain(|&t| t > 0.0 && t <= t_stop);
+        breakpoints.sort_by(f64::total_cmp);
+        breakpoints.dedup_by(|a, b| (*a - *b).abs() < tstep_min);
+        StepGrid {
+            breakpoints,
+            next: 0,
+            t_stop,
+            tstep_min,
+        }
+    }
+
+    /// Number of breakpoints on the grid.
+    pub(crate) fn len(&self) -> usize {
+        self.breakpoints.len()
+    }
+
+    /// Whether a march standing at `t` has not yet reached `t_stop`.
+    pub(crate) fn unfinished(&self, t: f64) -> bool {
+        t < self.t_stop - self.tstep_min
+    }
+
+    /// End of a step aimed at `target`: snapped back (or forward by less
+    /// than `tstep_min`) onto the pending breakpoint, then clamped to
+    /// `t_stop`. The flag reports whether it landed on the breakpoint.
+    pub(crate) fn step_end(&self, target: f64) -> (f64, bool) {
+        let mut t_next = target;
+        let mut hit_breakpoint = false;
+        if let Some(&bp) = self.breakpoints.get(self.next) {
+            if bp <= target + self.tstep_min {
+                t_next = bp;
+                hit_breakpoint = true;
+            }
+        }
+        if t_next > self.t_stop {
+            t_next = self.t_stop;
+        }
+        (t_next, hit_breakpoint)
+    }
+
+    /// Marks the pending breakpoint as passed.
+    pub(crate) fn consume(&mut self) {
+        self.next += 1;
+    }
+
+    /// The next hard boundary: the pending breakpoint, else `t_stop`.
+    pub(crate) fn boundary(&self) -> f64 {
+        self.breakpoints
+            .get(self.next)
+            .copied()
+            .unwrap_or(self.t_stop)
+    }
 }
 
 /// Accepted-sample accumulator shared by both marching loops.
@@ -516,38 +579,28 @@ impl Samples {
 fn march_fixed(
     sys: &MnaSystem,
     opts: &SimOptions,
-    t_stop: f64,
-    breakpoints: Vec<f64>,
+    mut grid: StepGrid,
     ws: &mut TranWorkspace,
     mut x: Vec<f64>,
     mut states: Vec<CapState>,
     samples: &mut Samples,
 ) -> Result<(), SpiceError> {
     let mut t = 0.0;
-    let mut bp_iter = breakpoints.into_iter().peekable();
     // Force a damping backward-Euler step after DC and after breakpoints.
     let mut force_be = true;
     let tm = crate::metrics::metrics();
 
-    while t < t_stop - opts.tstep_min {
+    while grid.unfinished(t) {
         if let Some(deadline) = &opts.deadline {
             if deadline.expired() {
                 crate::metrics::rescue_metrics().deadline_expirations.incr();
                 return Err(SpiceError::DeadlineExceeded { time: t });
             }
         }
-        let mut t_next = t + opts.tstep;
-        let mut hit_breakpoint = false;
-        if let Some(&bp) = bp_iter.peek() {
-            if bp <= t_next + opts.tstep_min {
-                t_next = bp;
-                bp_iter.next();
-                hit_breakpoint = true;
-                tm.breakpoints_hit.incr();
-            }
-        }
-        if t_next > t_stop {
-            t_next = t_stop;
+        let (t_next, hit_breakpoint) = grid.step_end(t + opts.tstep);
+        if hit_breakpoint {
+            grid.consume();
+            tm.breakpoints_hit.incr();
         }
 
         // Take the step, halving on non-convergence. Once a rescue had to
@@ -741,10 +794,9 @@ impl History {
 fn march_adaptive(
     sys: &MnaSystem,
     opts: &SimOptions,
-    t_stop: f64,
     tstep_max: f64,
     lte_tol: f64,
-    breakpoints: Vec<f64>,
+    mut grid: StepGrid,
     ws: &mut TranWorkspace,
     mut x: Vec<f64>,
     mut states: Vec<CapState>,
@@ -759,7 +811,6 @@ fn march_adaptive(
 
     let mut t = 0.0;
     let mut h = opts.tstep.min(tstep_max);
-    let mut bp_iter = breakpoints.into_iter().peekable();
     let mut force_be = true;
     let mut hist = History::new(0.0, &x);
     let mut x_pred: Vec<f64> = Vec::new();
@@ -769,26 +820,17 @@ fn march_adaptive(
     let tm = crate::metrics::metrics();
     let tmt = crate::metrics::tran_metrics();
 
-    while t < t_stop - opts.tstep_min {
+    while grid.unfinished(t) {
         if let Some(deadline) = &opts.deadline {
             if deadline.expired() {
                 crate::metrics::rescue_metrics().deadline_expirations.incr();
                 return Err(SpiceError::DeadlineExceeded { time: t });
             }
         }
-        let mut t_next = t + h.clamp(opts.tstep_min, tstep_max);
-        let mut hit_breakpoint = false;
-        if let Some(&bp) = bp_iter.peek() {
-            if bp <= t_next + opts.tstep_min {
-                if bp < t_next {
-                    tmt.breakpoint_clamps.incr();
-                }
-                t_next = bp;
-                hit_breakpoint = true;
-            }
-        }
-        if t_next > t_stop {
-            t_next = t_stop;
+        let target = t + h.clamp(opts.tstep_min, tstep_max);
+        let (t_next, hit_breakpoint) = grid.step_end(target);
+        if hit_breakpoint && t_next < target {
+            tmt.breakpoint_clamps.incr();
         }
         let h_eff = t_next - t;
         let be = force_be || opts.method == IntegrationMethod::BackwardEuler;
@@ -848,7 +890,7 @@ fn march_adaptive(
                 tmt.steps_accepted.incr();
                 force_be = false;
                 if hit_breakpoint {
-                    bp_iter.next();
+                    grid.consume();
                     tm.breakpoints_hit.incr();
                     force_be = true;
                     hist.restart();
@@ -862,8 +904,7 @@ fn march_adaptive(
                 h = h_eff / 2.0;
             }
             Err(SpiceError::NonConvergence { .. })
-                if bp_iter.peek().copied().unwrap_or(t_stop).min(t_stop) - t
-                    <= 2.0 * opts.tstep_min =>
+                if grid.boundary() - t <= 2.0 * opts.tstep_min =>
             {
                 // Sub-tstep_min sliver against the next hard boundary (a
                 // breakpoint or t_stop) that cannot converge: treat the
@@ -875,7 +916,7 @@ fn march_adaptive(
                 tm.slivers_accepted.incr();
                 t = t_next;
                 if hit_breakpoint {
-                    bp_iter.next();
+                    grid.consume();
                     tm.breakpoints_hit.incr();
                     force_be = true;
                     hist.restart();
@@ -902,7 +943,7 @@ fn march_adaptive(
                         force_be = true;
                         h = opts.tstep.min(tstep_max);
                         if hit_breakpoint {
-                            bp_iter.next();
+                            grid.consume();
                             tm.breakpoints_hit.incr();
                         }
                     }

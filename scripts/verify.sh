@@ -13,10 +13,11 @@ cargo test -q
 
 # Numerics-sensitive suites again under release optimisations: the
 # solver-equivalence bounds (dense vs sparse to 1e-9, tree solver
-# cross-checks) must hold with fast-math-adjacent codegen too.
+# cross-checks) and the batched-vs-scalar bounds must hold with the
+# vectorized lane-kernel codegen production runs.
 echo "==> cargo test --release -q (numerics-sensitive suites)"
 cargo test --release -q -p clocksense-spice
-cargo test --release -q --test solver_equivalence --test spice_roundtrip
+cargo test --release -q --test solver_equivalence --test spice_roundtrip --test batch_equivalence
 
 # The examples are user-facing documentation; they must keep building
 # and the quickstart must actually run against the current API.
