@@ -281,7 +281,9 @@ fn aligned(a: &MnaSystem, b: &MnaSystem) -> bool {
 }
 
 impl BatchSim {
-    /// Packs `circuits` into one batch over a shared symbolic structure.
+    /// Packs `circuits` into one batch over a shared symbolic structure,
+    /// taken from `cache`, and solves each variant's DC initial
+    /// condition over the same structure.
     ///
     /// # Errors
     ///
@@ -329,17 +331,8 @@ impl BatchSim {
     /// [`transient_batch`], which grouped and alignment-checked them).
     fn from_systems(systems: Vec<MnaSystem>, opts: &SimOptions, cache: &SymbolicCache) -> BatchSim {
         let sys0 = &systems[0];
-        let pattern = sys0.stamp_pattern();
-        let (sym, hit) = cache.get_or_analyze(sys0.dim, &pattern, sys0.vsources.len());
-        let plan =
-            Arc::new(sys0.build_plan(&mut |r, c| {
-                sym.slot(r, c).expect("stamped position is in the pattern")
-            }));
-        let baseline = if hit {
-            SparseMatrix::new_cached(Arc::clone(&sym))
-        } else {
-            SparseMatrix::new(Arc::clone(&sym))
-        };
+        let (baseline, plan) = sys0.sparse_matrix(Some(cache));
+        let plan = Arc::new(plan);
 
         // Delta sets: a device is "varying" when any variant disagrees
         // with variant 0 about its value.
@@ -368,9 +361,9 @@ impl BatchSim {
         }
 
         let linear = sys0.mosfets.is_empty();
-        let nnz = sym.nnz();
+        let nnz = baseline.symbolic().nnz();
         let dim = sys0.dim;
-        let variants: Vec<Variant> = systems
+        let mut variants: Vec<Variant> = systems
             .into_iter()
             .map(|sys| Variant {
                 sys,
@@ -378,7 +371,7 @@ impl BatchSim {
                 failed: None,
             })
             .collect();
-        let blocks = (0..variants.len().div_ceil(L))
+        let mut blocks: Vec<LaneBlock> = (0..variants.len().div_ceil(L))
             .map(|b| {
                 LaneBlock::new(
                     b * L,
@@ -390,6 +383,22 @@ impl BatchSim {
                 )
             })
             .collect();
+
+        // DC initial conditions, per variant (the same continuation path
+        // the scalar transient takes), over the structure fetched above.
+        // A DC failure is an immediate dropout; the solution scatters
+        // into the variant's lane.
+        for (i, v) in variants.iter_mut().enumerate() {
+            match crate::dc::solve_with_continuation(&v.sys, 0.0, opts, Some(cache)) {
+                Ok(x0) => {
+                    let block = &mut blocks[i / L];
+                    block.seed_states(i % L, &v.sys, &x0);
+                    block.scatter_x(i % L, &x0);
+                    v.record_sample(&block.x, i % L);
+                }
+                Err(e) => v.failed = Some(e),
+            }
+        }
 
         BatchSim {
             variants,
@@ -441,25 +450,6 @@ impl BatchSim {
         let opts = self.opts.clone();
         let width = self.variants.len();
         let sym = Arc::clone(self.baseline.symbolic());
-
-        // DC initial conditions, per variant (the same continuation path
-        // the scalar transient takes). A DC failure is an immediate
-        // dropout; the solution scatters into the variant's lane.
-        let local_cache = SymbolicCache::new();
-        {
-            let blocks = &mut self.blocks;
-            for (i, v) in self.variants.iter_mut().enumerate() {
-                match crate::dc::solve_with_continuation(&v.sys, 0.0, &opts, Some(&local_cache)) {
-                    Ok(x0) => {
-                        let block = &mut blocks[i / L];
-                        block.seed_states(i % L, &v.sys, &x0);
-                        block.scatter_x(i % L, &x0);
-                        v.record_sample(&block.x, i % L);
-                    }
-                    Err(e) => v.failed = Some(e),
-                }
-            }
-        }
 
         // Lockstep time grid: the union of every variant's source
         // breakpoints. Identical waves across the batch (value-variant
@@ -1675,6 +1665,20 @@ mod tests {
             })
             .collect();
         assert_matches_scalar(&circuits, 0.5e-9, &batch_opts(4), 1e-9);
+    }
+
+    #[test]
+    fn batch_analyses_its_topology_once() {
+        // One lookup packs the batch (the miss); every variant's DC
+        // point reuses that structure through the same cache (the hits).
+        let k = 5;
+        let circuits: Vec<Circuit> = (0..k)
+            .map(|i| rc_chain(1e3 * (1.0 + 0.1 * i as f64), 2e3, 50e-15, 20e-15))
+            .collect();
+        let cache = SymbolicCache::new();
+        let results = transient_batch(&circuits, 0.2e-9, &batch_opts(k), &cache);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(cache.stats(), (k as u64, 1), "(hits, misses)");
     }
 
     #[test]

@@ -264,20 +264,7 @@ impl NewtonWorkspace {
                 (MnaMatrix::Dense(DenseMatrix::new(dim)), plan)
             }
             SolverKind::Sparse => {
-                let pattern = sys.stamp_pattern();
-                let n_tail = sys.vsources.len();
-                let (sym, hit) = match cache {
-                    Some(cache) => cache.get_or_analyze(dim, &pattern, n_tail),
-                    None => (Arc::new(Symbolic::analyze(dim, &pattern, n_tail)), false),
-                };
-                let plan = sys.build_plan(&mut |r, c| {
-                    sym.slot(r, c).expect("stamped position is in the pattern")
-                });
-                let m = if hit {
-                    SparseMatrix::new_cached(sym)
-                } else {
-                    SparseMatrix::new(sym)
-                };
+                let (m, plan) = sys.sparse_matrix(cache);
                 (MnaMatrix::Sparse(m), plan)
             }
         };
@@ -516,6 +503,30 @@ impl MnaSystem {
         for r in 0..self.n_v {
             visit(r, r);
         }
+    }
+
+    /// A zero sparse matrix for this system and its stamp plan. The
+    /// symbolic analysis is taken from `cache` when one is supplied (a
+    /// hit makes even the first factorisation a symbolic reuse), or
+    /// computed here.
+    pub(crate) fn sparse_matrix(&self, cache: Option<&SymbolicCache>) -> (SparseMatrix, StampPlan) {
+        let pattern = self.stamp_pattern();
+        let n_tail = self.vsources.len();
+        let (sym, hit) = match cache {
+            Some(cache) => cache.get_or_analyze(self.dim, &pattern, n_tail),
+            None => (
+                Arc::new(Symbolic::analyze(self.dim, &pattern, n_tail)),
+                false,
+            ),
+        };
+        let plan = self
+            .build_plan(&mut |r, c| sym.slot(r, c).expect("stamped position is in the pattern"));
+        let m = if hit {
+            SparseMatrix::new_cached(sym)
+        } else {
+            SparseMatrix::new(sym)
+        };
+        (m, plan)
     }
 
     /// Compiles the stamp plan for this system on a matrix layout

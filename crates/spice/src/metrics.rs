@@ -87,8 +87,8 @@ pub(crate) struct TranMetrics {
 /// event: a clean run — Newton converging first try everywhere, no
 /// deadline tripping — never materialises any `rescue.*` counter, so the
 /// archived golden telemetry snapshots stay byte-identical with the
-/// ladder enabled. The CI smoke gate relies on exactly this (`
-/// check_report.py --expect-zero-rescue`).
+/// ladder enabled. The CI smoke gate relies on exactly this
+/// (`check_report.py --expect-zero rescue.`).
 pub(crate) struct RescueMetrics {
     /// Local gmin ramps attempted at a failing timepoint.
     pub gmin_ramps: Counter,
@@ -118,7 +118,7 @@ pub(crate) struct RescueMetrics {
 /// (`SimOptions::batch == 0`) never creates any `batch.*` counter, so
 /// archived golden telemetry reports stay byte-identical. The CI
 /// clean-golden gate relies on this (`check_report.py
-/// --expect-zero-batch`).
+/// --expect-zero batch.`).
 pub(crate) struct BatchMetrics {
     /// Batches the kernel marched (each packs 2..=K variants).
     pub batches_run: Counter,

@@ -259,8 +259,8 @@ pub struct SimOptions {
     pub deadline: Option<Deadline>,
     /// Batch width of the many-variant kernel
     /// ([`transient_batch`](crate::transient_batch)): up to this many
-    /// same-topology circuit variants are packed into one [`BatchSim`]
-    /// (`crate::BatchSim`) sharing a single symbolic structure and
+    /// same-topology circuit variants are packed into one
+    /// [`BatchSim`](crate::BatchSim) sharing a single symbolic structure and
     /// baseline stamp. `0` or `1` (the default is `0`) disables batching
     /// entirely — every analysis, including those routed through
     /// `transient_batch`, runs the existing scalar cached path, so all

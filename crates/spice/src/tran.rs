@@ -1,4 +1,12 @@
 //! Transient analysis.
+//!
+//! One scalar marching loop, [`march`], integrates every transient from
+//! the DC operating point to `t_stop`; [`SimOptions::timestep`] picks its
+//! pacing: fixed `tstep` windows (the bit-exact golden reference) or
+//! LTE-controlled adaptive steps. Both pacings share the time grid
+//! ([`StepGrid`]), the integration attempt, step halving, sliver
+//! acceptance, the convergence rescue ladder and the accept path; the
+//! batched lockstep march of `crate::batch` shares the grid only.
 
 use std::sync::Arc;
 
@@ -195,7 +203,7 @@ enum RescueOutcome {
     /// Some stage converged at the target `opts.gmin`: the solution is in
     /// `ws.newton.x` / `ws.new_states`, ready for the usual accept swap.
     /// `used_be` reports whether the accepted solve integrated with
-    /// backward Euler (the caller then keeps BE for the rest of the
+    /// backward Euler (fixed pacing then keeps BE for the rest of its
     /// window — mixing methods mid-window would corrupt the trapezoidal
     /// state history).
     Rescued { used_be: bool },
@@ -348,13 +356,15 @@ fn gmin_ramp(
 /// that fail to converge are recursively halved down to
 /// [`SimOptions::tstep_min`].
 ///
-/// The time grid is governed by [`SimOptions::timestep`]: the default
-/// [`Fixed`](crate::TimestepControl::Fixed) mode marches
+/// One marching loop serves both settings of [`SimOptions::timestep`],
+/// as two pacings: the default
+/// [`Fixed`](crate::TimestepControl::Fixed) pacing marches
 /// [`tstep`](SimOptions::tstep)-sized windows and is the bit-exact golden
 /// reference, while
 /// [`Adaptive`](crate::TimestepControl::Adaptive) re-sizes every step from
 /// a local-truncation-error estimate — same breakpoints, far fewer steps
-/// over quiescent stretches.
+/// over quiescent stretches. Halving, sliver acceptance and the rescue
+/// ladder behave the same under both.
 ///
 /// # Errors
 ///
@@ -441,20 +451,7 @@ fn transient_with(
     samples.record(&sys, &x0);
 
     let mut ws = TranWorkspace::new(&sys, opts, cache);
-    match opts.timestep {
-        TimestepControl::Fixed => march_fixed(&sys, opts, grid, &mut ws, x0, states, &mut samples)?,
-        TimestepControl::Adaptive { tstep_max, lte_tol } => march_adaptive(
-            &sys,
-            opts,
-            tstep_max,
-            lte_tol,
-            grid,
-            &mut ws,
-            x0,
-            states,
-            &mut samples,
-        )?,
-    }
+    march(&sys, opts, grid, &mut ws, x0, states, &mut samples)?;
 
     Ok(TranResult {
         times: samples.times.into(),
@@ -466,9 +463,9 @@ fn transient_with(
 }
 
 /// The transient time grid: the source breakpoints inside `(0, t_stop]`
-/// and the arithmetic that places each step end. The fixed, adaptive and
-/// batched lockstep marchers all step through one of these; each decides
-/// for itself when it has passed the pending breakpoint
+/// and the arithmetic that places each step end. The scalar march (both
+/// pacings) and the batched lockstep march step through one of these;
+/// each decides for itself when it has passed the pending breakpoint
 /// ([`consume`](StepGrid::consume)).
 pub(crate) struct StepGrid {
     /// Sorted; breakpoints closer than `tstep_min` merged into the first.
@@ -549,7 +546,7 @@ impl StepGrid {
     }
 }
 
-/// Accepted-sample accumulator shared by both marching loops.
+/// Accepted-sample accumulator of the scalar march.
 struct Samples {
     times: Vec<f64>,
     node_values: Vec<Vec<f64>>,
@@ -571,104 +568,6 @@ impl Samples {
         self.times.push(t);
         self.record(sys, x);
     }
-}
-
-/// The fixed-step reference marcher: `tstep`-sized windows, halving only
-/// on non-convergence. Bit-identical to every archived golden.
-#[allow(clippy::too_many_arguments)]
-fn march_fixed(
-    sys: &MnaSystem,
-    opts: &SimOptions,
-    mut grid: StepGrid,
-    ws: &mut TranWorkspace,
-    mut x: Vec<f64>,
-    mut states: Vec<CapState>,
-    samples: &mut Samples,
-) -> Result<(), SpiceError> {
-    let mut t = 0.0;
-    // Force a damping backward-Euler step after DC and after breakpoints.
-    let mut force_be = true;
-    let tm = crate::metrics::metrics();
-
-    while grid.unfinished(t) {
-        if let Some(deadline) = &opts.deadline {
-            if deadline.expired() {
-                crate::metrics::rescue_metrics().deadline_expirations.incr();
-                return Err(SpiceError::DeadlineExceeded { time: t });
-            }
-        }
-        let (t_next, hit_breakpoint) = grid.step_end(t + opts.tstep);
-        if hit_breakpoint {
-            grid.consume();
-            tm.breakpoints_hit.incr();
-        }
-
-        // Take the step, halving on non-convergence. Once a rescue had to
-        // fall back to backward Euler, the rest of this window keeps BE:
-        // the trapezoidal state history is no longer trustworthy past a
-        // point that needed L-stable damping to converge at all.
-        let mut window_be = false;
-        let mut sub_t = t;
-        let mut remaining = t_next - t;
-        while remaining > 0.5 * opts.tstep_min {
-            let mut h = remaining;
-            loop {
-                let be = force_be || window_be || opts.method == IntegrationMethod::BackwardEuler;
-                match ws.try_step(sys, &x, &states, sub_t + h, h, be, opts.gmin, opts) {
-                    Ok(_) => {
-                        sub_t += h;
-                        std::mem::swap(&mut x, &mut ws.newton.x);
-                        std::mem::swap(&mut states, &mut ws.new_states);
-                        samples.accept(sys, sub_t, &x);
-                        force_be = false;
-                        tm.steps_accepted.incr();
-                        break;
-                    }
-                    Err(SpiceError::NonConvergence { .. }) if h / 2.0 >= opts.tstep_min => {
-                        h /= 2.0;
-                        tm.steps_rejected.incr();
-                        tm.step_halvings.incr();
-                    }
-                    Err(SpiceError::NonConvergence { .. })
-                        if t_next - sub_t <= 2.0 * opts.tstep_min =>
-                    {
-                        // The unconverged window cannot be subdivided any
-                        // further and is below the resolvable step size:
-                        // treat the target time as reached with the state
-                        // from the last accepted point, instead of failing
-                        // the whole transient over a sub-tolerance sliver.
-                        tm.slivers_accepted.incr();
-                        sub_t = t_next;
-                        break;
-                    }
-                    Err(e @ SpiceError::NonConvergence { .. }) if opts.rescue => {
-                        // Halving is exhausted and the window is not a
-                        // sliver: climb the rescue ladder at this point.
-                        match rescue_step(sys, ws, &x, &states, sub_t + h, h, be, opts, e) {
-                            RescueOutcome::Rescued { used_be } => {
-                                sub_t += h;
-                                std::mem::swap(&mut x, &mut ws.newton.x);
-                                std::mem::swap(&mut states, &mut ws.new_states);
-                                samples.accept(sys, sub_t, &x);
-                                force_be = false;
-                                window_be |= used_be;
-                                tm.steps_accepted.incr();
-                                break;
-                            }
-                            RescueOutcome::Failed(err) => return Err(err),
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            remaining = t_next - sub_t;
-        }
-        t = t_next;
-        if hit_breakpoint {
-            force_be = true;
-        }
-    }
-    Ok(())
 }
 
 /// Trailing accepted solutions `(t, x)` for the LTE divided differences
@@ -785,17 +684,34 @@ impl History {
     }
 }
 
-/// The LTE-controlled adaptive marcher: every accepted step re-sizes the
-/// next one from a divided-difference truncation-error estimate, steps
-/// whose estimate overshoots the target are rejected and retried smaller,
-/// source breakpoints clamp the step end so edges are never stepped over,
-/// and each Newton solve warm-starts from a polynomial predictor.
-#[allow(clippy::too_many_arguments)]
-fn march_adaptive(
-    sys: &MnaSystem,
-    opts: &SimOptions,
+/// The adaptive pacing's step controller.
+struct Lte {
     tstep_max: f64,
     lte_tol: f64,
+    hist: History,
+    x_pred: Vec<f64>,
+    /// Rolling Newton-iteration count of the most recent cold-started
+    /// solve; the basis of the predictor-savings estimate.
+    cold_iters: u64,
+}
+
+/// The scalar transient march, one loop for both pacings of
+/// [`SimOptions::timestep`].
+///
+/// The march opens a window `(t, end]` on the time grid and makes
+/// integration attempts `(t_end, h)` inside it. Fixed pacing opens
+/// `tstep` windows and covers each with one attempt, or with halvings
+/// of it; adaptive pacing sizes each window from a local-truncation-error
+/// estimate and attempts it whole, warm-started from a polynomial
+/// predictor. A converged attempt is accepted (adaptive pacing first
+/// checks its truncation error); one that does not converge is halved
+/// down to `tstep_min`, then taken as a sliver when the boundary it aims
+/// at lies within `2 * tstep_min`, then handed to the rescue ladder.
+/// `DESIGN.md` §3.3 tabulates where the two pacings differ.
+#[allow(clippy::too_many_arguments)]
+fn march(
+    sys: &MnaSystem,
+    opts: &SimOptions,
     mut grid: StepGrid,
     ws: &mut TranWorkspace,
     mut x: Vec<f64>,
@@ -808,152 +724,212 @@ fn march_adaptive(
     const SAFETY: f64 = 0.9;
     const MAX_GROWTH: f64 = 2.0;
     const MAX_SHRINK: f64 = 0.1;
-
-    let mut t = 0.0;
-    let mut h = opts.tstep.min(tstep_max);
-    let mut force_be = true;
-    let mut hist = History::new(0.0, &x);
-    let mut x_pred: Vec<f64> = Vec::new();
-    // Rolling Newton-iteration count of the most recent cold-started
-    // solve; the basis of the predictor-savings estimate.
-    let mut cold_iters: u64 = 0;
     let tm = crate::metrics::metrics();
-    let tmt = crate::metrics::tran_metrics();
+    // `step` is the size of the next fixed attempt, or the adaptive
+    // proposal before the grid snaps it.
+    let (mut lte, mut step) = match opts.timestep {
+        TimestepControl::Fixed => (None, 0.0),
+        TimestepControl::Adaptive { tstep_max, lte_tol } => {
+            let lte = Lte {
+                tstep_max,
+                lte_tol,
+                hist: History::new(0.0, &x),
+                x_pred: Vec::new(),
+                cold_iters: 0,
+            };
+            (Some(lte), opts.tstep.min(tstep_max))
+        }
+    };
+    let fixed = lte.is_none();
+    // The march stands at `t` in the window `(t, end]`, which ends on a
+    // breakpoint when `hit`.
+    let (mut t, mut end, mut hit) = (0.0, 0.0, false);
+    // Force a damping backward-Euler step after DC and after breakpoints.
+    let mut force_be = true;
+    // Backward Euler for the rest of the window once a rescue needed it:
+    // the trapezoidal state history is no longer trustworthy past a point
+    // that needed L-stable damping to converge at all.
+    let mut window_be = false;
 
-    while grid.unfinished(t) {
-        if let Some(deadline) = &opts.deadline {
-            if deadline.expired() {
+    loop {
+        // A fixed window stays open until its attempts have covered it;
+        // an adaptive window closes after its one attempt.
+        if !fixed || end - t <= 0.5 * opts.tstep_min {
+            if fixed {
+                t = end;
+                force_be |= hit;
+            }
+            if !grid.unfinished(t) {
+                return Ok(());
+            }
+            if opts.deadline.as_ref().is_some_and(|d| d.expired()) {
                 crate::metrics::rescue_metrics().deadline_expirations.incr();
                 return Err(SpiceError::DeadlineExceeded { time: t });
             }
+            let target = match &lte {
+                None => t + opts.tstep,
+                Some(a) => t + step.clamp(opts.tstep_min, a.tstep_max),
+            };
+            (end, hit) = grid.step_end(target);
+            window_be = false;
+            if fixed {
+                if hit {
+                    grid.consume();
+                    tm.breakpoints_hit.incr();
+                }
+                step = end - t;
+                if step <= 0.5 * opts.tstep_min {
+                    continue;
+                }
+            } else if hit && end < target {
+                crate::metrics::tran_metrics().breakpoint_clamps.incr();
+            }
         }
-        let target = t + h.clamp(opts.tstep_min, tstep_max);
-        let (t_next, hit_breakpoint) = grid.step_end(target);
-        if hit_breakpoint && t_next < target {
-            tmt.breakpoint_clamps.incr();
-        }
-        let h_eff = t_next - t;
-        let be = force_be || opts.method == IntegrationMethod::BackwardEuler;
 
-        // Predictor warm start; right after DC or a breakpoint the last
-        // accepted point is the only sensible start.
-        let predicted = !force_be && hist.predict_into(t_next, &mut x_pred);
-        let x_start: &[f64] = if predicted { &x_pred } else { &x };
+        let h = if fixed { step } else { end - t };
+        let t_end = if fixed { t + step } else { end };
+        let be = force_be || window_be || opts.method == IntegrationMethod::BackwardEuler;
+        // Predictor warm start; right after DC, a breakpoint or a rescue
+        // the last accepted point is the only sensible start.
+        let predicted = lte
+            .as_mut()
+            .is_some_and(|a| !force_be && a.hist.predict_into(t_end, &mut a.x_pred));
+        let x_start: &[f64] = match &lte {
+            Some(a) if predicted => &a.x_pred,
+            _ => &x,
+        };
+        // A failed, unhalvable attempt is a sliver when `bound` is within
+        // `2 * tstep_min`: the window end, or for adaptive pacing the next
+        // breakpoint or `t_stop` — its exhausted step is always
+        // sliver-sized by the time halving gives up, so measuring to its
+        // own window end would swallow every failure.
+        let bound = if fixed { end } else { grid.boundary() };
 
-        match ws.try_step(sys, x_start, &states, t_next, h_eff, be, opts.gmin, opts) {
+        // Whether the attempt left a solution to accept (a sliver leaves
+        // none) and, for a rescued one, whether the ladder integrated it
+        // with backward Euler.
+        let attempt = ws.try_step(sys, x_start, &states, t_end, h, be, opts.gmin, opts);
+        let (solved, rescued_be) = match attempt {
             Ok(iters) => {
-                // LTE accept/reject and next-step sizing. The error of
-                // this step scales as h² (BE) or h³ (trap), so the
-                // optimal-step exponent is 1/2 resp. 1/3.
-                let exponent = if be { 0.5 } else { 1.0 / 3.0 };
-                match hist.lte_ratio(t_next, &ws.newton.x, sys.n_v, !be, lte_tol, opts) {
-                    Some(ratio) if ratio > 1.0 && h_eff > 2.0 * opts.tstep_min => {
-                        // Overshoot with room to shrink: reject and retry.
+                if let Some(a) = &mut lte {
+                    // LTE accept/reject and next-step sizing. The error of
+                    // this step scales as h² (BE) or h³ (trap), so the
+                    // optimal-step exponent is 1/2 resp. 1/3.
+                    let tmt = crate::metrics::tran_metrics();
+                    let exponent = if be { 0.5 } else { 1.0 / 3.0 };
+                    let x_new = &ws.newton.x;
+                    let estimate = a
+                        .hist
+                        .lte_ratio(t_end, x_new, sys.n_v, !be, a.lte_tol, opts);
+                    // An overshoot with room to shrink is rejected and
+                    // retried smaller. A retry the grid would snap back
+                    // onto this attempt's end repeats it bit for bit,
+                    // forever, so it leaves no room.
+                    let retry = estimate
+                        .filter(|&ratio| ratio > 1.0 && h > 2.0 * opts.tstep_min)
+                        .map(|ratio| {
+                            let factor = (SAFETY * ratio.powf(-exponent)).clamp(MAX_SHRINK, 0.9);
+                            (h * factor).max(opts.tstep_min)
+                        })
+                        .filter(|&r| {
+                            grid.step_end(t + r.clamp(opts.tstep_min, a.tstep_max)).0 < end
+                        });
+                    if let Some(r) = retry {
                         tm.steps_rejected.incr();
                         tmt.steps_rejected.incr();
                         tmt.lte_step_shrinks.incr();
-                        let factor = (SAFETY * ratio.powf(-exponent)).clamp(MAX_SHRINK, 0.9);
-                        h = (h_eff * factor).max(opts.tstep_min);
+                        step = r;
                         continue;
                     }
-                    Some(ratio) => {
-                        let factor = if ratio > 0.0 {
-                            (SAFETY * ratio.powf(-exponent)).clamp(MAX_SHRINK, MAX_GROWTH)
-                        } else {
-                            MAX_GROWTH
-                        };
-                        let h_next = (h_eff * factor).clamp(opts.tstep_min, tstep_max);
-                        if h_next > h_eff {
-                            tmt.lte_step_growths.incr();
-                        } else if h_next < h_eff {
-                            tmt.lte_step_shrinks.incr();
+                    match estimate {
+                        Some(ratio) => {
+                            let factor = if ratio > 0.0 {
+                                (SAFETY * ratio.powf(-exponent)).clamp(MAX_SHRINK, MAX_GROWTH)
+                            } else {
+                                MAX_GROWTH
+                            };
+                            step = (h * factor).clamp(opts.tstep_min, a.tstep_max);
+                            if step > h {
+                                tmt.lte_step_growths.incr();
+                            } else if step < h {
+                                tmt.lte_step_shrinks.incr();
+                            }
                         }
-                        h = h_next;
-                    }
-                    None => {
                         // No estimate yet: grow cautiously towards the cap.
-                        h = (h_eff * MAX_GROWTH).clamp(opts.tstep_min, tstep_max);
+                        None => step = (h * MAX_GROWTH).clamp(opts.tstep_min, a.tstep_max),
+                    }
+                    if predicted {
+                        let saved = a.cold_iters.saturating_sub(iters);
+                        tmt.predictor_newton_iters_saved.add(saved);
+                    } else {
+                        a.cold_iters = iters;
                     }
                 }
-                if predicted {
-                    tmt.predictor_newton_iters_saved
-                        .add(cold_iters.saturating_sub(iters));
-                } else {
-                    cold_iters = iters;
-                }
-                t = t_next;
-                std::mem::swap(&mut x, &mut ws.newton.x);
-                std::mem::swap(&mut states, &mut ws.new_states);
-                samples.accept(sys, t, &x);
-                hist.push(t, &x);
-                tm.steps_accepted.incr();
-                tmt.steps_accepted.incr();
-                force_be = false;
-                if hit_breakpoint {
-                    grid.consume();
-                    tm.breakpoints_hit.incr();
-                    force_be = true;
-                    hist.restart();
-                    h = opts.tstep.min(tstep_max);
-                }
+                (true, None)
             }
-            Err(SpiceError::NonConvergence { .. }) if h_eff / 2.0 >= opts.tstep_min => {
+            Err(SpiceError::NonConvergence { .. }) if h / 2.0 >= opts.tstep_min => {
                 tm.steps_rejected.incr();
                 tm.step_halvings.incr();
-                tmt.steps_rejected.incr();
-                h = h_eff / 2.0;
-            }
-            Err(SpiceError::NonConvergence { .. })
-                if grid.boundary() - t <= 2.0 * opts.tstep_min =>
-            {
-                // Sub-tstep_min sliver against the next hard boundary (a
-                // breakpoint or t_stop) that cannot converge: treat the
-                // target as reached, exactly as the fixed marcher does.
-                // The guard must measure to the *boundary*, not to the
-                // attempted step end — `t_next - t` is just the exhausted
-                // step size, which is always sliver-sized by the time
-                // halving gives up, and would swallow every failure.
-                tm.slivers_accepted.incr();
-                t = t_next;
-                if hit_breakpoint {
-                    grid.consume();
-                    tm.breakpoints_hit.incr();
-                    force_be = true;
-                    hist.restart();
-                    h = opts.tstep.min(tstep_max);
+                if !fixed {
+                    crate::metrics::tran_metrics().steps_rejected.incr();
                 }
+                step = h / 2.0;
+                continue;
             }
+            // What is left is below the resolvable step size: treat the
+            // window end as reached with the state from the last accepted
+            // point, instead of failing the whole transient over a
+            // sub-tolerance sliver.
+            Err(SpiceError::NonConvergence { .. }) if bound - t <= 2.0 * opts.tstep_min => {
+                tm.slivers_accepted.incr();
+                (false, None)
+            }
+            // Halving is exhausted and the attempt is not a sliver:
+            // climb the rescue ladder at this point. A rescued point
+            // is accepted without the LTE test — the alternative is
+            // failing the analysis.
             Err(e @ SpiceError::NonConvergence { .. }) if opts.rescue => {
-                // Shrinking is exhausted and the window is not a sliver:
-                // climb the rescue ladder at this point. A rescued point
-                // is accepted without the LTE test — the alternative is
-                // failing the analysis — and treated as a discontinuity:
-                // history restarts, pacing resets, and the next step is
-                // damped with backward Euler.
-                match rescue_step(sys, ws, x_start, &states, t_next, h_eff, be, opts, e) {
-                    RescueOutcome::Rescued { .. } => {
-                        t = t_next;
-                        std::mem::swap(&mut x, &mut ws.newton.x);
-                        std::mem::swap(&mut states, &mut ws.new_states);
-                        samples.accept(sys, t, &x);
-                        hist.push(t, &x);
-                        hist.restart();
-                        tm.steps_accepted.incr();
-                        tmt.steps_accepted.incr();
-                        force_be = true;
-                        h = opts.tstep.min(tstep_max);
-                        if hit_breakpoint {
-                            grid.consume();
-                            tm.breakpoints_hit.incr();
-                        }
-                    }
+                match rescue_step(sys, ws, x_start, &states, t_end, h, be, opts, e) {
+                    RescueOutcome::Rescued { used_be } => (true, Some(used_be)),
                     RescueOutcome::Failed(err) => return Err(err),
                 }
             }
             Err(e) => return Err(e),
+        };
+
+        if solved {
+            t = t_end;
+            std::mem::swap(&mut x, &mut ws.newton.x);
+            std::mem::swap(&mut states, &mut ws.new_states);
+            samples.accept(sys, t, &x);
+            tm.steps_accepted.incr();
+            force_be = false;
+        } else {
+            t = end;
+        }
+        window_be |= rescued_be == Some(true);
+        match &mut lte {
+            None => step = end - t,
+            Some(a) => {
+                if solved {
+                    crate::metrics::tran_metrics().steps_accepted.incr();
+                    a.hist.push(t, &x);
+                }
+                if hit {
+                    grid.consume();
+                    tm.breakpoints_hit.incr();
+                }
+                // A breakpoint or a rescued point is a discontinuity:
+                // history restarts, the step size resets, and the next
+                // step is damped with backward Euler.
+                if hit || rescued_be.is_some() {
+                    a.hist.restart();
+                    step = opts.tstep.min(a.tstep_max);
+                    force_be = true;
+                }
+            }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1264,6 +1240,45 @@ mod tests {
             .max_abs_difference(&fixed.waveform(out));
         assert!(diff < 0.1, "adaptive deviates from fixed by {diff} V");
         assert!(fixed.times().len() >= 3 * adaptive.times().len());
+    }
+
+    #[test]
+    fn adaptive_rejection_never_repeats_a_snapped_step() {
+        // With `tstep_min` at 40 ps, the step from 1.91 ns onto the
+        // 2.01 ns fall edge overshoots its LTE target; its 82 ps retry
+        // ends within `tstep_min` of the edge, so the grid snaps it back
+        // onto the edge: the same step again, bit for bit. Rejecting it
+        // each time would loop until the deadline.
+        let mut ckt = Circuit::new();
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        let pulse = SourceWave::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay: 1e-9,
+            rise: 10e-12,
+            fall: 10e-12,
+            width: 1e-9,
+            period: f64::INFINITY,
+        };
+        ckt.add_vsource("vin", inp, GROUND, pulse).unwrap();
+        ckt.add_resistor("r", inp, out, 1e3).unwrap();
+        ckt.add_capacitor("c", out, GROUND, 200e-15).unwrap();
+        let opts = SimOptions {
+            tstep: 100e-12,
+            tstep_min: 40e-12,
+            timestep: TimestepControl::Adaptive {
+                tstep_max: 200e-12,
+                lte_tol: 0.1,
+            },
+            deadline: Some(crate::Deadline::after(std::time::Duration::from_secs(30))),
+            ..SimOptions::default()
+        };
+        let res = transient(&ckt, 3e-9, &opts).expect("the march must get past the edge");
+        let t = res.times();
+        assert!(t.windows(2).all(|w| w[1] > w[0]));
+        assert!(t.iter().any(|&x| (x - 2.01e-9).abs() < 1e-15));
+        assert!(t[t.len() - 1] > 3e-9 - opts.tstep_min);
     }
 
     #[test]

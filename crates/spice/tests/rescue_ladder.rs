@@ -252,7 +252,7 @@ fn expired_deadline_aborts_the_transient() {
 #[test]
 fn cancelled_deadline_aborts_mid_run_methods_too() {
     // BackwardEuler + adaptive combination, cancelled before the run:
-    // both marchers must poll the token.
+    // both pacings of the march must poll the token.
     let mut ckt = Circuit::new();
     let inp = ckt.node("in");
     let out = ckt.node("out");

@@ -20,12 +20,12 @@ emit a well-formed report, whatever its numbers are. Checks:
     the campaign.retry_* counters are present, the quarantine never
     exceeds the scheduled retries, and every scheduled retry is either
     recovered or quarantined;
-  * optionally (--expect-zero-rescue) the run was clean: no rescue.* or
-    campaign.* retry counter recorded a nonzero value (both scopes
-    materialise lazily, so a clean run normally has none at all);
-  * optionally (--expect-zero-batch) the run never touched the batched
-    kernel: no batch.* counter recorded a nonzero value (the scope
-    materialises lazily, so a scalar run normally has none at all);
+  * optionally (--expect-zero PREFIX, repeatable) the run never touched
+    the machinery behind a counter scope: no counter whose name starts
+    with PREFIX recorded a nonzero value. The rescue.*, campaign.*,
+    batch.* and checkpoint.* scopes materialise lazily, so a run that
+    stays off the rescue ladder, the retry queue, the batched kernel or
+    the checkpoint journal normally has none of them at all;
   * optionally (--lanes) the lane-block accounting of the SoA kernel is
     coherent: blocks were packed and factor sweeps ran, every scheduled
     lane slot is accounted for exactly once
@@ -39,10 +39,6 @@ emit a well-formed report, whatever its numbers are. Checks:
     hit came from a replayed journal record (records_replayed == hits),
     every miss wrote exactly one final record (records_written ==
     misses), and the run actually exercised the memo cache (hits >= 1);
-  * optionally (--expect-zero-checkpoint) the run never touched a
-    checkpoint journal: no checkpoint.* counter recorded a nonzero
-    value (the scope materialises lazily, so a journal-free run
-    normally has none at all);
   * optionally (--scenarios) the scenario-workload accounting of the
     generated-deck benches is coherent, dispatched on meta.bench:
     mesh_array must have built decks, attached sensors, classified
@@ -124,14 +120,12 @@ def main() -> None:
         help="require coherent campaign retry/quarantine accounting",
     )
     parser.add_argument(
-        "--expect-zero-rescue",
-        action="store_true",
-        help="fail if any rescue.* or campaign.* retry counter is nonzero",
-    )
-    parser.add_argument(
-        "--expect-zero-batch",
-        action="store_true",
-        help="fail if any batch.* counter is nonzero",
+        "--expect-zero",
+        action="append",
+        default=[],
+        metavar="PREFIX",
+        help="fail if any counter whose name starts with PREFIX is nonzero "
+        "(repeatable)",
     )
     parser.add_argument(
         "--lanes",
@@ -142,11 +136,6 @@ def main() -> None:
         "--checkpoint",
         action="store_true",
         help="require coherent checkpoint journal/memo-cache accounting",
-    )
-    parser.add_argument(
-        "--expect-zero-checkpoint",
-        action="store_true",
-        help="fail if any checkpoint.* counter is nonzero",
     )
     parser.add_argument(
         "--scenarios",
@@ -499,28 +488,12 @@ def main() -> None:
                     f"{args.perf_timer_tolerance:g}x)"
                 )
 
-    if args.expect_zero_rescue:
+    for prefix in args.expect_zero:
         for name, value in report["counters"].items():
-            if (name.startswith("rescue.") or name.startswith("campaign.")) and value != 0:
+            if name.startswith(prefix) and value != 0:
                 fail(
-                    f"clean run recorded {name} = {value}: the rescue/retry "
-                    "machinery must stay idle on healthy circuits"
-                )
-
-    if args.expect_zero_batch:
-        for name, value in report["counters"].items():
-            if name.startswith("batch.") and value != 0:
-                fail(
-                    f"scalar run recorded {name} = {value}: the batched "
-                    "kernel must stay idle when SimOptions::batch is 0"
-                )
-
-    if args.expect_zero_checkpoint:
-        for name, value in report["counters"].items():
-            if name.startswith("checkpoint.") and value != 0:
-                fail(
-                    f"journal-free run recorded {name} = {value}: the "
-                    "checkpoint layer must stay idle without a journal path"
+                    f"run recorded {name} = {value}: the machinery behind "
+                    f"{prefix}* must stay idle on this run"
                 )
 
     print(
