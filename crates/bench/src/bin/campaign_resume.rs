@@ -55,9 +55,9 @@ fn main() {
     ));
     let _ = fs::remove_file(&journal);
 
-    // Scalar solves only: the batched pre-pass packs the *remaining*
-    // items into fresh chunks on resume, which changes the shared
-    // breakpoint grid and forfeits bit-exactness (see DESIGN.md §3.6).
+    // The campaign solves every fault on its own grid, so the resumed
+    // report must match the uninterrupted one byte for byte (DESIGN.md
+    // §3.6).
     let mut base = CampaignConfig::new(ClockPair::single_shot(tech.vdd, 0.2e-9));
     base.threads = threads_arg();
     let ckpt_cfg = base.clone().checkpoint(&journal);

@@ -21,6 +21,9 @@
 //! Per-item wall clock and panic counts are recorded through an optional
 //! `clocksense-telemetry` scope (`items`, `panics`, `item_wall`).
 //!
+//! Scheduling is per item only: a caller that wants SIMD lanes packs its
+//! variants itself and calls the spice crate's `transient_batch`.
+//!
 //! ```
 //! use clocksense_exec::Executor;
 //!
@@ -44,7 +47,7 @@ use clocksense_telemetry::{Counter, Scope, Timer};
 /// [`expired`](Deadline::expired) at its inner-loop boundaries and bails
 /// out cleanly when the token has expired or been cancelled — the
 /// *soft-deadline* mechanism that keeps one pathological item from
-/// stalling a whole campaign chunk. The token is a cheap `Arc` handle:
+/// stalling a whole campaign. The token is a cheap `Arc` handle:
 /// clone it into workers freely, cancel it from anywhere.
 ///
 /// Expiry is checked lazily against [`Instant::now`]; nothing is spawned
@@ -302,64 +305,6 @@ impl Executor {
             })
             .collect()
     }
-
-    /// Run `job` over `0..items` in contiguous chunks of at most
-    /// `chunk` items, returning per-item results in item order.
-    ///
-    /// This is the batch-aware counterpart of [`run`](Executor::run):
-    /// work that amortises per-call setup across several items (the
-    /// spice crate's batched variant solver packs a whole chunk into one
-    /// structure-of-arrays Newton solve) claims a *chunk* off the shared
-    /// queue instead of a single index. `job` receives the chunk's
-    /// half-open index range and must return exactly one result per
-    /// index in order; a mismatched length panics inside the worker and
-    /// is reported (like any other panic) against every item of that
-    /// chunk. A `chunk` of `0` or `1` degrades to per-item scheduling.
-    ///
-    /// ```
-    /// use clocksense_exec::Executor;
-    ///
-    /// let out = Executor::new(2).run_chunked(7, 3, |range| {
-    ///     range.map(|i| i * 10).collect()
-    /// });
-    /// let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
-    /// assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60]);
-    /// ```
-    pub fn run_chunked<T, F>(&self, items: usize, chunk: usize, job: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-    {
-        let chunk = chunk.max(1);
-        let chunks = items.div_ceil(chunk);
-        let chunk_results = self.run(chunks, |c| {
-            let range = c * chunk..((c + 1) * chunk).min(items);
-            let want = range.len();
-            let out = job(range.clone());
-            assert_eq!(
-                out.len(),
-                want,
-                "chunked job returned {} results for {} items",
-                out.len(),
-                want
-            );
-            out
-        });
-        let mut slots: Vec<Result<T, JobPanic>> = Vec::with_capacity(items);
-        for (c, outcome) in chunk_results.into_iter().enumerate() {
-            let range = c * chunk..((c + 1) * chunk).min(items);
-            match outcome {
-                Ok(values) => slots.extend(values.into_iter().map(Ok)),
-                Err(panic) => slots.extend(range.map(|i| {
-                    Err(JobPanic {
-                        index: i,
-                        message: panic.message.clone(),
-                    })
-                })),
-            }
-        }
-        slots
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -457,42 +402,6 @@ mod tests {
         assert_eq!(ex.workers_for(3), 3);
         assert_eq!(ex.workers_for(100), 8);
         assert_eq!(ex.workers_for(1), 1);
-    }
-
-    #[test]
-    fn chunked_results_are_in_item_order_with_ragged_tail() {
-        let out = Executor::new(3).run_chunked(10, 4, |range| range.map(|i| i + 100).collect());
-        let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
-        assert_eq!(values, (100..110).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunked_panic_is_confined_to_its_chunk() {
-        let out = Executor::new(2).run_chunked(9, 3, |range| {
-            if range.contains(&4) {
-                panic!("chunk blew up");
-            }
-            range.collect()
-        });
-        for (i, slot) in out.iter().enumerate() {
-            if (3..6).contains(&i) {
-                let err = slot.as_ref().unwrap_err();
-                assert_eq!(err.index, i);
-                assert!(err.message.contains("chunk blew up"));
-            } else {
-                assert_eq!(*slot.as_ref().unwrap(), i);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_width_zero_or_one_degrades_to_per_item() {
-        let a = Executor::new(2).run_chunked(5, 0, |r| r.collect::<Vec<_>>());
-        let b = Executor::new(2).run_chunked(5, 1, |r| r.collect::<Vec<_>>());
-        let a: Vec<usize> = a.into_iter().map(Result::unwrap).collect();
-        let b: Vec<usize> = b.into_iter().map(Result::unwrap).collect();
-        assert_eq!(a, vec![0, 1, 2, 3, 4]);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use clocksense_core::{ClockPair, SensingCircuit};
 use clocksense_exec::{Deadline, Executor};
 use clocksense_netlist::{canonical_form, fnv1a, SourceWave, FNV_OFFSET};
 use clocksense_spice::{
-    dc_operating_point_cached, iddq_cached, transient_batch, transient_cached, IntegrationMethod,
-    SimOptions, SpiceError, SymbolicCache, TranResult,
+    dc_operating_point_cached, iddq_cached, transient_cached, IntegrationMethod, SimOptions,
+    SpiceError, SymbolicCache,
 };
 
 use crate::checkpoint::{
@@ -112,8 +112,7 @@ impl CampaignConfig {
     /// Journals finished items to `path` and replays whatever that
     /// journal already holds on the next run, so a killed campaign
     /// resumes where it died and an unchanged re-run is pure memo hits.
-    /// The final report is byte-identical to an uninterrupted run (for
-    /// batched campaigns see the re-packing caveat in `DESIGN.md` §3.6).
+    /// The final report is byte-identical to an uninterrupted run.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
@@ -367,7 +366,6 @@ fn static_levels(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn evaluate_fault(
     sensor: &SensingCircuit,
     fault: &Fault,
@@ -376,7 +374,6 @@ fn evaluate_fault(
     cache: &SymbolicCache,
     fault_free_static: &[Option<(f64, f64)>],
     opts: &SimOptions,
-    pre_tran: Option<&Result<TranResult, SpiceError>>,
 ) -> Result<FaultRecord, FaultError> {
     let v_th = sensor.technology().logic_threshold();
     let criteria = DetectionCriteria {
@@ -410,38 +407,22 @@ fn evaluate_fault(
     }
 
     // Transient divergence under fault-free clocks, scanned over the
-    // second cycle. With a batched campaign this result was already
-    // computed by the pre-pass; each variant's own success or failure
-    // travels in its slot, so a batch-mate that dropped out never
-    // contaminates this fault's verdict.
+    // second cycle.
+    let faulted = inject(&sensor.testbench(&cfg.clocks)?, fault, rails)?;
     let mut transient_failed = false;
-    let mut divergent = false;
-    {
-        let scalar_tran;
-        let tran = match pre_tran {
-            Some(res) => res,
-            None => {
-                let bench = sensor.testbench(&cfg.clocks)?;
-                let faulted = inject(&bench, fault, rails)?;
-                scalar_tran = transient_cached(&faulted, cfg.stop_time(), opts, cache);
-                &scalar_tran
-            }
-        };
-        match tran {
-            Ok(result) => {
-                divergent = logic_detected(
-                    &result.waveform(y1),
-                    &result.waveform(y2),
-                    &criteria,
-                    cfg.scan_from(),
-                );
-            }
-            Err(e) => {
-                transient_failed = true;
-                last_failure = Some(FailureInfo::from_spice(e));
-            }
+    let divergent = match transient_cached(&faulted, cfg.stop_time(), opts, cache) {
+        Ok(result) => logic_detected(
+            &result.waveform(y1),
+            &result.waveform(y2),
+            &criteria,
+            cfg.scan_from(),
+        ),
+        Err(e) => {
+            transient_failed = true;
+            last_failure = Some(FailureInfo::from_spice(&e));
+            false
         }
-    }
+    };
     let logic = divergent || flip;
 
     // IDDQ under the static patterns (skipped once logic caught it).
@@ -615,10 +596,6 @@ pub fn run_campaign(
         .filter(|(_, r)| r.is_none())
         .map(|(i, _)| i)
         .collect();
-    let mut fresh_pos = vec![usize::MAX; faults.len()];
-    for (k, &i) in fresh.iter().enumerate() {
-        fresh_pos[i] = k;
-    }
     // Journals one finished record under its item hash; a no-op without
     // a checkpoint. Only *final* records may be written (see the module
     // doc of [`checkpoint`](crate::checkpoint)); the callers below
@@ -634,54 +611,9 @@ pub fn run_campaign(
         }
         Ok(())
     };
-    // Batched detection pre-pass: with the sparse backend and a batch
-    // width configured, the per-fault detection transients (the dominant
-    // cost of a campaign item) run through the spice batch kernel before
-    // the per-item pass fans out. Each variant's result — success or
-    // structured failure — lands in its own slot: a variant that fails
-    // mid-batch drops out to the kernel's scalar rescue path, so a
-    // quarantine-bound fault cannot poison its batch-mates. The pre-pass
-    // deliberately runs without the per-item deadline (one shared token
-    // would charge the whole pass's wall clock to every item); deadline
-    // enforcement still applies to everything the per-item pass runs.
-    // Only the fresh remainder is packed, so a resumed batched campaign
-    // marches a different union breakpoint grid than the uninterrupted
-    // run did — see DESIGN.md §3.6 for the byte-identity caveat.
-    //
-    // The pre-pass is sharded across the campaign's worker pool in
-    // lane-aligned sub-batches (`lane_chunk` rounds the configured batch
-    // width up to whole SIMD lane blocks), so a wide population uses
-    // both the kernel's vector lanes and the machine's cores. A shard
-    // that panics degrades only its own items: they fall back to the
-    // per-item pass below exactly as if no pre-pass result existed.
-    let pre_tran: Option<Vec<Option<Result<TranResult, SpiceError>>>> = if cfg.sim.batching()
-        && !fresh.is_empty()
-    {
-        let bench = sensor.testbench(&cfg.clocks)?;
-        let benches = fresh
-            .iter()
-            .map(|&i| inject(&bench, &faults[i], &rails))
-            .collect::<Result<Vec<_>, FaultError>>()?;
-        let shards =
-            Executor::new(cfg.threads).run_chunked(benches.len(), cfg.sim.lane_chunk(), |range| {
-                transient_batch(&benches[range], cfg.stop_time(), &cfg.sim, &cache)
-            });
-        Some(shards.into_iter().map(Result::ok).collect())
-    } else {
-        None
-    };
     let fresh_records = campaign_records_at(faults, &fresh, cfg.threads, |i, f| {
         let opts = cfg.item_sim(&cfg.sim);
-        let record = evaluate_fault(
-            sensor,
-            f,
-            cfg,
-            &rails,
-            &cache,
-            &fault_free_static,
-            &opts,
-            pre_tran.as_ref().and_then(|v| v[fresh_pos[i]].as_ref()),
-        )?;
+        let record = evaluate_fault(sensor, f, cfg, &rails, &cache, &fault_free_static, &opts)?;
         // First-pass records are final unless the retry pass will
         // replace them.
         let provisional = cfg.retry
@@ -747,21 +679,11 @@ pub fn run_campaign(
             .add(retry_idx.len() as u64);
         let relaxed = cfg.relaxed_sim();
         let retry_faults: Vec<Fault> = retry_idx.iter().map(|&i| faults[i].clone()).collect();
-        // Retries always take the scalar path: the relaxed options exist
-        // to rescue exactly the circuits the shared batch grid is wrong
-        // for, and each retry wants its own halving/rescue ladder.
+        // Each retry runs its own halving/rescue ladder under the relaxed
+        // options.
         let retry_records = campaign_records(&retry_faults, cfg.threads, |_, f| {
             let opts = cfg.item_sim(&relaxed);
-            evaluate_fault(
-                sensor,
-                f,
-                cfg,
-                &rails,
-                &cache,
-                &fault_free_static,
-                &opts,
-                None,
-            )
+            evaluate_fault(sensor, f, cfg, &rails, &cache, &fault_free_static, &opts)
         })?;
         let mut recovered = 0u64;
         let mut quarantined = 0u64;
@@ -961,63 +883,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_matches_scalar_verdicts() {
+    fn batch_width_does_not_reach_the_campaign() {
+        // Sparse and fixed-step: the options under which a batch width
+        // would pack lanes. The campaign solves every fault on its own,
+        // so the width changes nothing.
         let s = sensor();
-        // Three bridges on one pair are value-only variants of a single
-        // structure — exactly what the batch kernel packs together — plus
-        // one stuck-at whose different topology exercises the
-        // singleton-group scalar fallback within the same pre-pass.
-        let pair = vec![
-            Fault::Bridge {
-                a: "y1".into(),
-                b: "y2".into(),
-                ohms: 100.0,
-            },
-            Fault::Bridge {
-                a: "y1".into(),
-                b: "y2".into(),
-                ohms: 1_000.0,
-            },
-            Fault::Bridge {
-                a: "y1".into(),
-                b: "y2".into(),
-                ohms: 10_000.0,
-            },
-            Fault::NodeStuckAt {
-                node: "y1".into(),
-                level: StuckLevel::Zero,
-            },
-        ];
-        // The head of the full universe mixes every fault class and
-        // topology; at widths 8 and 16 it fills one partial lane block
-        // and spans two, on the 2 ps grid.
-        let mut universe = crate::sensor_fault_universe(&s, 100.0);
-        universe.truncate(12);
-        for (faults, tstep, widths) in [(pair, None, &[4][..]), (universe, Some(2e-12), &[8, 16])] {
-            let mut scalar_cfg = config();
-            scalar_cfg.sim.solver = clocksense_spice::SolverKind::Sparse;
-            if let Some(tstep) = tstep {
-                scalar_cfg.sim.tstep = tstep;
-            }
-            let scalar = run_campaign(&s, &faults, &scalar_cfg).unwrap();
-            for &width in widths {
-                let mut batched_cfg = scalar_cfg.clone();
-                batched_cfg.sim.batch = width;
-                let batched = run_campaign(&s, &faults, &batched_cfg).unwrap();
-                for (a, b) in scalar.records().iter().zip(batched.records()) {
-                    assert_eq!(
-                        a.outcome, b.outcome,
-                        "verdict diverged for {} at batch {width}",
-                        a.fault
-                    );
-                    assert_eq!(
-                        a.masks_skew, b.masks_skew,
-                        "masking diverged for {} at batch {width}",
-                        a.fault
-                    );
-                }
-            }
-        }
+        let mut faults = crate::sensor_fault_universe(&s, 100.0);
+        faults.truncate(12);
+        let mut cfg = config();
+        cfg.sim.solver = clocksense_spice::SolverKind::Sparse;
+        cfg.sim.timestep = clocksense_spice::TimestepControl::Fixed;
+        cfg.sim.tstep = 2e-12;
+        let scalar = run_campaign(&s, &faults, &cfg).unwrap();
+        cfg.sim.batch = 8;
+        let wide = run_campaign(&s, &faults, &cfg).unwrap();
+        assert_eq!(scalar.records(), wide.records());
     }
 
     #[test]

@@ -290,7 +290,9 @@ fn duration_field(d: Option<std::time::Duration>) -> String {
 /// Fingerprint of every [`SimOptions`] field that can influence a
 /// simulation result. The `deadline` token is deliberately excluded: it
 /// is per-item wall-clock state, covered by the campaign fingerprint's
-/// `item_deadline` budget instead.
+/// `item_deadline` budget instead. `batch` is kept although no campaign
+/// or scatter result depends on it, so that existing journals keep their
+/// item hashes.
 pub fn sim_options_fingerprint(sim: &SimOptions) -> String {
     let method = match sim.method {
         IntegrationMethod::Trapezoidal => "trap",

@@ -7,7 +7,7 @@ use clocksense_core::{ClockPair, CoreError, SensingCircuit, SensorBuilder};
 use clocksense_exec::Executor;
 use clocksense_faults::checkpoint::{parse_f64_bits, sim_options_fingerprint, Journal, TAG_MC};
 use clocksense_netlist::{canonical_form, f64_bits, fnv1a, Circuit, FNV_OFFSET};
-use clocksense_spice::{transient_batch, transient_cached, SimOptions, SymbolicCache, TranResult};
+use clocksense_spice::{transient_cached, SimOptions, SymbolicCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,8 +84,8 @@ struct PreparedSample {
 }
 
 /// Draws sample `index`'s perturbation and slews and builds its bench.
-/// Split from the simulation so the batched path can prepare a whole
-/// chunk of benches before handing them to the batch kernel at once.
+/// Split from the simulation so the checkpoint replay can hash a
+/// sample's bench without simulating it.
 fn prepare_sample(
     builder: &SensorBuilder,
     clocks: &ClockPair,
@@ -120,7 +120,16 @@ fn prepare_sample(
     ))
 }
 
-fn classify_sample(p: &PreparedSample, result: &TranResult) -> McSample {
+fn one_sample(
+    builder: &SensorBuilder,
+    clocks: &ClockPair,
+    tau: f64,
+    cfg: &McConfig,
+    index: u64,
+    cache: &SymbolicCache,
+) -> Result<McSample, CoreError> {
+    let (bench, p) = prepare_sample(builder, clocks, tau, cfg, index)?;
+    let result = transient_cached(&bench, p.clocks.sim_stop_time(), &cfg.sim, cache)?;
     let (y1, y2) = p.sensor.outputs();
     let v_th = p.sensor.technology().logic_threshold();
     let response = clocksense_core::interpret(
@@ -133,71 +142,13 @@ fn classify_sample(p: &PreparedSample, result: &TranResult) -> McSample {
     // An indication on either output counts: under variation the residual
     // asymmetry can put the indication on the "wrong" side near tau = 0.
     let vmin = response.vmin_y1.max(response.vmin_y2);
-    McSample {
+    Ok(McSample {
         tau: p.tau,
         vmin,
         detected: vmin > v_th,
         slew1: p.slew1,
         slew2: p.slew2,
-    }
-}
-
-fn one_sample(
-    builder: &SensorBuilder,
-    clocks: &ClockPair,
-    tau: f64,
-    cfg: &McConfig,
-    index: u64,
-    cache: &SymbolicCache,
-) -> Result<McSample, CoreError> {
-    let (bench, p) = prepare_sample(builder, clocks, tau, cfg, index)?;
-    let result = transient_cached(&bench, p.clocks.sim_stop_time(), &cfg.sim, cache)?;
-    Ok(classify_sample(&p, &result))
-}
-
-/// Prepares, batch-simulates and classifies one contiguous chunk of
-/// samples. Every perturbed bench is a value-only variant of one
-/// topology, so the whole chunk packs into a single structure-of-arrays
-/// solve; the chunk simulates to the latest stop time of its members
-/// (`sim_stop_time` varies with the drawn skew and slews), which only
-/// extends shorter samples past their observation windows. A sample
-/// whose construction or simulation fails carries its own error in its
-/// slot; it neither sinks the chunk nor its batch-mates.
-fn chunk_of_samples(
-    builder: &SensorBuilder,
-    clocks: &ClockPair,
-    taus: &[f64],
-    cfg: &McConfig,
-    range: std::ops::Range<usize>,
-    cache: &SymbolicCache,
-) -> Vec<Result<McSample, CoreError>> {
-    let mut out: Vec<Option<Result<McSample, CoreError>>> = range.clone().map(|_| None).collect();
-    let mut benches = Vec::new();
-    let mut prepared = Vec::new();
-    for (k, i) in range.enumerate() {
-        let tau = taus[i % taus.len()];
-        match prepare_sample(builder, clocks, tau, cfg, i as u64) {
-            Ok((bench, p)) => {
-                benches.push(bench);
-                prepared.push((k, p));
-            }
-            Err(e) => out[k] = Some(Err(e)),
-        }
-    }
-    let t_stop = prepared
-        .iter()
-        .map(|(_, p)| p.clocks.sim_stop_time())
-        .fold(0.0f64, f64::max);
-    let results = transient_batch(&benches, t_stop, &cfg.sim, cache);
-    for ((k, p), res) in prepared.iter().zip(results) {
-        out[*k] = Some(match res {
-            Ok(result) => Ok(classify_sample(p, &result)),
-            Err(e) => Err(CoreError::from(e)),
-        });
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every chunk slot is filled"))
-        .collect()
+    })
 }
 
 /// Runs the Fig. 5 scatter: `cfg.samples` perturbed circuits, each
@@ -226,19 +177,8 @@ pub fn run_scatter(
     // with the sparse backend the whole scatter shares a single symbolic
     // analysis through this cache (the dense backend ignores it).
     let cache = SymbolicCache::new();
-    // With a batch width configured, workers claim whole chunks and run
-    // each chunk through the spice crate's batched variant kernel — one
-    // baseline stamp and one factorisation pattern per step serve the
-    // entire chunk. Scalar per-sample scheduling otherwise.
     let samples = if let Some(path) = &cfg.checkpoint {
         scatter_checkpointed(builder, clocks, taus, cfg, path, &cache)
-    } else if cfg.sim.batching() {
-        // Chunks are lane-aligned (`lane_chunk` rounds the configured
-        // width up to whole SIMD lane blocks) so only the final chunk
-        // of the scatter can carry padding lanes.
-        scatter_records_chunked(cfg.samples, cfg.sim.lane_chunk(), cfg.threads, |range| {
-            chunk_of_samples(builder, clocks, taus, cfg, range, &cache)
-        })
     } else {
         scatter_records(cfg.samples, cfg.threads, |i| {
             let tau = taus[i % taus.len()];
@@ -322,12 +262,6 @@ fn sample_hash(bench: &Circuit, p: &PreparedSample, cfg: &McConfig) -> u64 {
 /// as memo hits and simulates only the remainder, journalling each fresh
 /// observation as it completes so an interrupted scatter resumes where
 /// it died.
-///
-/// On the batched path replay is chunk-granular at the *original* chunk
-/// boundaries: the batch kernel simulates each chunk on the union grid
-/// of its members, so a partially-journalled chunk re-runs whole (its
-/// journalled members demote to misses) — re-packing survivors into new
-/// chunks would change the shared grid and move every member's `vmin`.
 fn scatter_checkpointed(
     builder: &SensorBuilder,
     clocks: &ClockPair,
@@ -354,20 +288,6 @@ fn scatter_checkpointed(
         hashes.push(hash);
         replayed.push(hit);
     }
-    let chunked = cfg.sim.batching();
-    // Same lane-aligned width as the live scatter: replay granularity
-    // must match the boundaries the fresh run would use.
-    let chunk = cfg.sim.lane_chunk();
-    if chunked {
-        for c in 0..n.div_ceil(chunk) {
-            let range = c * chunk..((c + 1) * chunk).min(n);
-            if replayed[range.clone()].iter().any(Option::is_none) {
-                for slot in &mut replayed[range] {
-                    *slot = None;
-                }
-            }
-        }
-    }
     let fresh: Vec<usize> = (0..n).filter(|&i| replayed[i].is_none()).collect();
     let hits = n - fresh.len();
     let ckpt = clocksense_telemetry::global().scope("checkpoint");
@@ -386,63 +306,31 @@ fn scatter_checkpointed(
     };
     let tele = clocksense_telemetry::global().scope("montecarlo");
     let samples_run = tele.counter("samples");
-    let fresh_results: Vec<Result<McSample, CoreError>> = if chunked {
-        // Whole chunks were demoted above, so the work list is exactly
-        // the chunks containing any miss, each re-run in full.
-        let work: Vec<usize> = (0..n.div_ceil(chunk))
-            .filter(|&c| {
-                let range = c * chunk..((c + 1) * chunk).min(n);
-                replayed[range].iter().any(Option::is_none)
-            })
-            .collect();
-        let outcomes = Executor::new(cfg.threads)
-            .with_telemetry(tele)
-            .run_indexed(&work, |c| {
-                let range = c * chunk..((c + 1) * chunk).min(n);
-                let base = range.start;
-                chunk_of_samples(builder, clocks, taus, cfg, range, cache)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, res)| {
-                        let sample = res?;
-                        append(base + k, &sample)?;
-                        Ok(sample)
-                    })
-                    .collect::<Vec<Result<McSample, CoreError>>>()
-            });
-        let mut flat = Vec::with_capacity(fresh.len());
-        for (&c, outcome) in work.iter().zip(outcomes) {
-            let range = c * chunk..((c + 1) * chunk).min(n);
-            match outcome {
-                Ok(results) => flat.extend(results),
-                Err(panic) => {
-                    flat.extend(range.map(|_| Err(CoreError::WorkerPanic(panic.message.clone()))))
-                }
-            }
-        }
-        flat
-    } else {
-        Executor::new(cfg.threads)
-            .with_telemetry(tele)
-            .run_indexed(&fresh, |i| {
-                let tau = taus[i % taus.len()];
-                let sample = one_sample(builder, clocks, tau, cfg, i as u64, cache)?;
-                append(i, &sample)?;
-                Ok(sample)
-            })
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(result) => result,
-                Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
-            })
-            .collect()
-    };
+    let fresh_results: Vec<Result<McSample, CoreError>> = Executor::new(cfg.threads)
+        .with_telemetry(tele)
+        .run_indexed(&fresh, |i| {
+            let tau = taus[i % taus.len()];
+            let sample = one_sample(builder, clocks, tau, cfg, i as u64, cache)?;
+            append(i, &sample)?;
+            Ok(sample)
+        })
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(result) => result,
+            Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
+        })
+        .collect();
     samples_run.add(fresh.len() as u64);
     let mut fresh_iter = fresh_results.into_iter();
     (0..n)
         .map(|i| match replayed[i].take() {
             Some(sample) => Ok(sample),
-            None => fresh_iter.next().expect("one fresh result per miss"),
+            None => fresh_iter.next().ok_or_else(|| {
+                // One fresh result exists per miss by construction;
+                // running dry means the replay desynchronised from the
+                // sample list.
+                CoreError::Checkpoint("journal replay out of sync with scatter samples".to_string())
+            })?,
         })
         .collect()
 }
@@ -472,36 +360,11 @@ fn scatter_records(
         .collect()
 }
 
-/// [`scatter_records`] for the batched path: chunks of `chunk` samples
-/// are claimed whole by workers, and the same error policy applies —
-/// first per-sample error (in sample order) aborts, a panicking chunk
-/// degrades to [`CoreError::WorkerPanic`] on each of its samples.
-fn scatter_records_chunked(
-    n: usize,
-    chunk: usize,
-    threads: usize,
-    job: impl Fn(std::ops::Range<usize>) -> Vec<Result<McSample, CoreError>> + Sync,
-) -> Result<Vec<McSample>, CoreError> {
-    let tele = clocksense_telemetry::global().scope("montecarlo");
-    let samples_run = tele.counter("samples");
-    let outcomes = Executor::new(threads)
-        .with_telemetry(tele)
-        .run_chunked(n, chunk, job);
-    samples_run.add(n as u64);
-    outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            Ok(result) => result,
-            Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use clocksense_core::Technology;
-    use clocksense_spice::SolverKind;
+    use clocksense_spice::{SolverKind, TimestepControl};
 
     fn quick_cfg(samples: usize) -> McConfig {
         McConfig {
@@ -538,37 +401,29 @@ mod tests {
         }
     }
 
+    /// Sparse, fixed-step options: the ones under which a batch width
+    /// would pack lanes.
+    fn sparse_cfg(samples: usize) -> McConfig {
+        let mut cfg = quick_cfg(samples);
+        cfg.sim.solver = SolverKind::Sparse;
+        cfg.sim.timestep = TimestepControl::Fixed;
+        cfg
+    }
+
     #[test]
-    fn batched_scatter_matches_scalar_samples() {
+    fn batch_width_does_not_reach_the_scatter() {
         let tech = Technology::cmos12();
         let builder = SensorBuilder::new(tech).load_capacitance(160e-15);
         let clocks = ClockPair::single_shot(tech.vdd, 0.2e-9);
-        let taus = [0.3e-9];
-        let mut scalar_cfg = quick_cfg(6);
-        scalar_cfg.sim.solver = SolverKind::Sparse;
-        let mut batched_cfg = scalar_cfg.clone();
-        batched_cfg.sim.batch = 3;
-        let scalar = run_scatter(&builder, &clocks, &taus, &scalar_cfg).unwrap();
-        let batched = run_scatter(&builder, &clocks, &taus, &batched_cfg).unwrap();
-        assert_eq!(scalar.len(), batched.len());
-        for (s, b) in scalar.iter().zip(&batched) {
-            // Same drawn parameters (the RNG stream is per-index, not
-            // per-schedule) and the same verdict. vmin is only close,
-            // not tight: each sample draws its own slews, so the batch's
-            // lockstep grid (the union of every member's breakpoints)
-            // differs from each sample's scalar grid, and the local
-            // truncation error of the shared grid moves vmin by tens of
-            // microvolts on a multi-volt signal.
-            assert_eq!(s.tau, b.tau);
-            assert_eq!(s.slew1, b.slew1);
-            assert_eq!(s.slew2, b.slew2);
-            assert_eq!(s.detected, b.detected);
-            assert!(
-                (s.vmin - b.vmin).abs() < 1e-3,
-                "vmin diverged: scalar {} vs batched {}",
-                s.vmin,
-                b.vmin
-            );
+        let taus = [0.0, 0.3e-9];
+        let cfg = sparse_cfg(10);
+        let scalar = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
+        let mut wide_cfg = cfg.clone();
+        wide_cfg.sim.batch = 8;
+        let wide = run_scatter(&builder, &clocks, &taus, &wide_cfg).unwrap();
+        assert_eq!(scalar, wide);
+        for (s, w) in scalar.iter().zip(&wide) {
+            assert_eq!(s.vmin.to_bits(), w.vmin.to_bits());
         }
     }
 
@@ -635,35 +490,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_checkpoint_replays_whole_chunks_only() {
+    fn checkpointed_scatter_at_batch_width_resumes_byte_identical() {
         let tech = Technology::cmos12();
         let builder = SensorBuilder::new(tech).load_capacitance(160e-15);
         let clocks = ClockPair::single_shot(tech.vdd, 0.2e-9);
         let taus = [0.3e-9];
         let path = std::env::temp_dir().join(format!(
-            "clocksense_mc_ckpt_batched_{}.journal",
+            "clocksense_mc_ckpt_wide_{}.journal",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        // `batch: 3` lane-aligns to chunks of `LANE_WIDTH` (= 8), so ten
-        // samples split into chunks 0..8 and 8..10.
-        let mut cfg = quick_cfg(10);
-        cfg.sim.solver = SolverKind::Sparse;
-        cfg.sim.batch = 3;
+        let mut cfg = sparse_cfg(10);
+        cfg.sim.batch = 8;
         cfg.threads = 1;
         cfg.checkpoint = Some(path.clone());
-        assert_eq!(cfg.sim.lane_chunk(), 8);
         let golden = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
         assert_eq!(Journal::open(&path).unwrap().len(), 10);
-        // Tear mid-second-chunk: chunk 0 complete, chunk 1 partial. The
-        // partial chunk must re-run whole on its original grid — its one
-        // journalled member demotes to a miss and is re-appended.
+        // Tear mid-journal: the header and nine records survive, so
+        // exactly the tenth sample re-runs and is re-appended.
         let text = std::fs::read_to_string(&path).unwrap();
         let keep: Vec<&str> = text.lines().take(10).collect();
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
         let resumed = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
-        assert_eq!(resumed, golden, "chunked resume must be byte-identical");
-        assert_eq!(Journal::open(&path).unwrap().len(), 9 + 2);
+        assert_eq!(resumed, golden, "resume must be byte-identical");
+        for (r, g) in resumed.iter().zip(&golden) {
+            assert_eq!(r.vmin.to_bits(), g.vmin.to_bits());
+        }
+        assert_eq!(Journal::open(&path).unwrap().len(), 10);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -45,7 +45,9 @@ pub fn perturb_circuit(circuit: &mut Circuit, spread: f64, rng: &mut impl Rng) {
         move |rng: &mut dyn rand::RngCore| -> f64 { 1.0 + spread * (2.0 * rng.gen::<f64>() - 1.0) };
     let ids: Vec<_> = circuit.devices().map(|(id, _)| id).collect();
     for id in ids {
-        let entry = circuit.device_mut(id).expect("live id");
+        let Some(entry) = circuit.device_mut(id) else {
+            continue;
+        };
         match &mut entry.device {
             Device::Resistor(r) => r.ohms *= factor(rng),
             Device::Capacitor(c) => c.farads *= factor(rng),
@@ -106,7 +108,9 @@ pub fn perturb_circuit_global(
 
     let ids: Vec<_> = circuit.devices().map(|(id, _)| id).collect();
     for id in ids {
-        let entry = circuit.device_mut(id).expect("live id");
+        let Some(entry) = circuit.device_mut(id) else {
+            continue;
+        };
         let name = entry.name.clone();
         match &mut entry.device {
             Device::Resistor(r) => r.ohms *= f_res,

@@ -261,10 +261,14 @@ pub struct SimOptions {
     /// ([`transient_batch`](crate::transient_batch)): up to this many
     /// same-topology circuit variants are packed into one
     /// [`BatchSim`](crate::BatchSim) sharing a single symbolic structure and
-    /// baseline stamp. `0` or `1` (the default is `0`) disables batching
-    /// entirely — every analysis, including those routed through
-    /// `transient_batch`, runs the existing scalar cached path, so all
-    /// archived golden results stand unchanged.
+    /// baseline stamp. `0` or `1` (the default is `0`) disables batching,
+    /// and `transient_batch` then runs every variant on the scalar cached
+    /// path.
+    ///
+    /// Only `transient_batch` reads this field. Every other entry point,
+    /// and every driver built on them (the fault campaign, the
+    /// Monte-Carlo scatter), solves one circuit at a time whatever the
+    /// width; a caller gets lanes by calling `transient_batch` itself.
     ///
     /// Batching requires the [`Sparse`](SolverKind::Sparse) solver and
     /// the [`Fixed`](TimestepControl::Fixed) timestep control
@@ -274,9 +278,7 @@ pub struct SimOptions {
     ///
     /// Internally the kernel packs variants into SIMD-width lane blocks
     /// of [`LANE_WIDTH`](crate::LANE_WIDTH) (= 8) value planes, so batch
-    /// widths that are multiples of 8 waste no padding lanes; drivers
-    /// that shard a larger population across workers should size their
-    /// chunks with [`lane_chunk`](SimOptions::lane_chunk).
+    /// widths that are multiples of 8 waste no padding lanes.
     ///
     /// ```
     /// use clocksense_spice::{SimOptions, SolverKind};
@@ -314,29 +316,6 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Worker-shard width for batched drivers: [`batch`](SimOptions::batch)
-    /// rounded **up** to the next multiple of
-    /// [`LANE_WIDTH`](crate::LANE_WIDTH), so every sharded sub-batch
-    /// fills whole lane blocks and only the population's final shard can
-    /// carry padding lanes. Returns `0` when batching is disabled
-    /// (`batch` of `0` or `1`), mirroring the scalar fallback.
-    ///
-    /// ```
-    /// use clocksense_spice::SimOptions;
-    ///
-    /// assert_eq!(SimOptions { batch: 16, ..SimOptions::default() }.lane_chunk(), 16);
-    /// assert_eq!(SimOptions { batch: 12, ..SimOptions::default() }.lane_chunk(), 16);
-    /// assert_eq!(SimOptions { batch: 2, ..SimOptions::default() }.lane_chunk(), 8);
-    /// assert_eq!(SimOptions::default().lane_chunk(), 0); // scalar by default
-    /// ```
-    #[must_use]
-    pub fn lane_chunk(&self) -> usize {
-        if self.batch < 2 {
-            return 0;
-        }
-        self.batch.next_multiple_of(crate::LANE_WIDTH)
-    }
-
     /// Whether [`transient_batch`](crate::transient_batch) packs variants
     /// into the lockstep lane kernel under these options: a
     /// [`batch`](SimOptions::batch) of at least 2, the

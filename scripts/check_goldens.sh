@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tolerance-aware golden check: regenerates the two canonical archived
+# Tolerance-aware golden check: regenerates the three canonical archived
 # outputs and compares them against the committed files in results/.
 #
 #   results/fig3_report.json      deterministic telemetry counters
+#   results/fig5_montecarlo.txt     Monte-Carlo V_min scatter table
 #   results/tab1_probabilities.txt  Monte-Carlo probability table
 #
 # Counters must match within a small relative tolerance (identical on the
@@ -22,6 +23,10 @@ trap 'rm -rf "$tmp"' EXIT
 echo "==> regenerating fig3_report.json"
 cargo run --release -q -p clocksense-bench --bin fig3_skew -- \
     --report "$tmp/fig3_report.json" > /dev/null
+
+echo "==> regenerating fig5_montecarlo.txt"
+cargo run --release -q -p clocksense-bench --bin fig5_montecarlo \
+    > "$tmp/fig5_montecarlo.txt"
 
 echo "==> regenerating tab1_probabilities.txt"
 cargo run --release -q -p clocksense-bench --bin tab1_probabilities \
@@ -82,6 +87,7 @@ def check_text(committed_path, fresh_path, abs_tol=0.05, rel_tol=0.10):
 
 
 check_counters("results/fig3_report.json", f"{tmp}/fig3_report.json")
+check_text("results/fig5_montecarlo.txt", f"{tmp}/fig5_montecarlo.txt")
 check_text("results/tab1_probabilities.txt", f"{tmp}/tab1_probabilities.txt")
 
 if failures:
@@ -91,5 +97,5 @@ if failures:
     if len(failures) > 40:
         print(f"  ... and {len(failures) - 40} more", file=sys.stderr)
     sys.exit(1)
-print("check_goldens: OK (fig3_report.json counters, tab1 table)")
+print("check_goldens: OK (fig3_report.json counters, fig5 and tab1 tables)")
 PY

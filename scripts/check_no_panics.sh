@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Gate: no panicking calls on library paths of the hardened crates.
 #
-# The service-boundary crates (core, netlist, faults) promise structured
-# errors instead of panics: an `unwrap()` reachable from a library entry
-# point turns a malformed deck or a lost journal into a process abort.
+# The service-boundary crates (core, netlist, faults, montecarlo) promise
+# structured errors instead of panics: an `unwrap()` reachable from a
+# library entry point turns a malformed deck or a lost journal into a
+# process abort.
 # This scan walks every src/*.rs of those crates and flags panic-family
 # calls that appear *before* the file's trailing `#[cfg(test)]` module
 # (the repo convention keeps test modules at the end of the file).
@@ -14,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/core crates/netlist crates/faults)
+CRATES=(crates/core crates/netlist crates/faults crates/montecarlo)
 status=0
 
 for crate in "${CRATES[@]}"; do
