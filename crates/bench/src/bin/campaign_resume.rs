@@ -8,12 +8,15 @@
 //! renders a byte-identical final report, the resume re-simulates only
 //! the missing half, the re-run is pure memo hits — and editing one
 //! device value afterwards re-simulates exactly the one fault whose
-//! canonical hash moved. `--report <path>` archives the telemetry
-//! snapshot (the `checkpoint.*` counters) as
-//! `results/campaign_resume.json`.
+//! canonical hash moved. Over the whole run it asserts that the journal
+//! accounting closes: every item is a memo hit or a miss, every hit
+//! replayed one journal record and every miss wrote one. `--report
+//! <path>` archives the telemetry snapshot (the `checkpoint.*` counters)
+//! as `results/campaign_resume.json`.
 
 use std::fs;
 
+use clocksense_bench::report::{counter, counter_at_least};
 use clocksense_bench::{fast_mode, print_header, threads_arg, Table};
 use clocksense_core::{ClockPair, SensorBuilder, Technology};
 use clocksense_faults::{run_campaign, sensor_fault_universe, CampaignConfig, Fault};
@@ -177,5 +180,23 @@ fn main() {
         100.0 * rerun_hits as f64 / faults.len() as f64,
     );
     let _ = fs::remove_file(&journal);
+
+    let hits = counter_at_least("checkpoint.memo_hits", 1);
+    let misses = counter("checkpoint.memo_misses");
+    assert_eq!(
+        hits + misses,
+        counter("checkpoint.items_total"),
+        "every checkpointed item must be a memo hit or a miss"
+    );
+    assert_eq!(
+        counter("checkpoint.records_replayed"),
+        hits,
+        "every memo hit must replay exactly one journal record"
+    );
+    assert_eq!(
+        counter("checkpoint.records_written"),
+        misses,
+        "every memo miss must journal exactly one final record"
+    );
     bench.finish();
 }

@@ -10,8 +10,11 @@
 //! verdict rather than an `Inconclusive` record). `--report <path>`
 //! archives the telemetry snapshot, including the `rescue.*` ladder
 //! counters and the `campaign.retry_*` / `campaign.quarantined` retry
-//! accounting, as `results/campaign_torture.json`.
+//! accounting, as `results/campaign_torture.json`. At the end of the run
+//! the bench asserts that retry accounting closes: every scheduled retry
+//! was either recovered or quarantined.
 
+use clocksense_bench::report::counter;
 use clocksense_bench::{fast_mode, print_header, Table};
 use clocksense_core::{ClockPair, SensorBuilder, Technology};
 use clocksense_faults::{run_campaign, sensor_fault_universe, CampaignConfig, DetectionOutcome};
@@ -19,6 +22,9 @@ use clocksense_spice::SimOptions;
 
 fn main() {
     let bench = clocksense_bench::report::start_scoped("campaign_torture", "torture");
+    // The end-of-run assertions read the `campaign.*` counters, so this
+    // bench records telemetry even without `--report`.
+    clocksense_telemetry::global().enable();
     let tech = Technology::cmos12();
     let sensor = SensorBuilder::new(tech)
         .load_capacitance(160e-15)
@@ -111,6 +117,19 @@ fn main() {
         100.0 * (on - off),
         100.0 * off,
         100.0 * on,
+    );
+
+    let scheduled = counter("campaign.retry_scheduled");
+    let recovered = counter("campaign.retry_recovered");
+    let quarantined = counter("campaign.quarantined");
+    assert!(
+        quarantined <= scheduled,
+        "{quarantined} quarantined faults exceed {scheduled} scheduled retries"
+    );
+    assert_eq!(
+        recovered + quarantined,
+        scheduled,
+        "retry accounting leaks: recovered + quarantined != scheduled"
     );
     bench.finish();
 }

@@ -8,11 +8,15 @@
 //! duplicated verdicts, byte-identical resume after every kill, no
 //! cross-lane contamination from a poisoned variant. `--seed N` replays
 //! a specific schedule sequence; `--schedules N` overrides the count
-//! (200 full, 12 under `CLOCKSENSE_FAST=1`). `--report <path>` archives
-//! the tally and the `chaos.*` injection accounting as
-//! `results/chaos_torture.json`.
+//! (200 full, 12 under `CLOCKSENSE_FAST=1`). At the end of the run the
+//! bench also asserts that the injection accounting closes (every
+//! planned injection fired or was suppressed) and that the batch
+//! fixture's lane blocks account for every scheduled lane slot with at
+//! least half of them live. `--report <path>` archives the tally and the
+//! `chaos.*` injection accounting as `results/chaos_torture.json`.
 
 use clocksense_bench::chaos::run_torture;
+use clocksense_bench::report::{counter, counter_at_least};
 use clocksense_bench::{fast_mode, print_header, Table};
 
 /// Parses `--seed N` / `--schedules N` (also `=`-joined) from the
@@ -44,6 +48,9 @@ fn u64_arg(name: &str, default: u64) -> u64 {
 
 fn main() {
     let bench = clocksense_bench::report::start("chaos_torture");
+    // The end-of-run assertions read the `chaos.*` and `batch.*`
+    // counters, so this bench records telemetry even without `--report`.
+    clocksense_telemetry::global().enable();
     let seed = u64_arg("--seed", 42);
     let schedules = u64_arg("--schedules", if fast_mode() { 12 } else { 200 });
 
@@ -82,5 +89,25 @@ fn main() {
         tally.violations.len()
     );
     println!("all durability contracts held under chaos");
+
+    counter_at_least("chaos_torture.schedules_total", 1);
+    assert_eq!(
+        counter("chaos.injections_planned"),
+        counter("chaos.injections_fired") + counter("chaos.injections_suppressed"),
+        "every planned injection must fire or be suppressed"
+    );
+    counter_at_least("batch.lane_blocks", 1);
+    counter_at_least("batch.lane_factor_sweeps", 1);
+    let scheduled = counter("batch.lane_slots_scheduled");
+    let active = counter("batch.lane_slots_active");
+    assert_eq!(
+        active + counter("batch.lane_slots_parked") + counter("batch.lane_slots_padding"),
+        scheduled,
+        "every scheduled lane slot must be active, parked or padding"
+    );
+    assert!(
+        2 * active >= scheduled,
+        "lane occupancy {active}/{scheduled}: more than half the slots carried no live variant"
+    );
     bench.finish();
 }

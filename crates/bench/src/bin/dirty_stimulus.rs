@@ -21,10 +21,15 @@
 //!
 //! Each transient also audits the breakpoint contract at runtime:
 //! every rendered corner time of both trains must appear exactly in
-//! the result's time vector (`edges_total == edges_on_grid`, gated in
-//! CI). The adaptive marcher is used for exactly that reason — it is
-//! the path that would smear edges if they were not declared.
+//! the result's time vector (`edges_total == edges_on_grid`). The
+//! adaptive marcher is used for exactly that reason — it is the path
+//! that would smear edges if they were not declared. At the end of the
+//! run the bench asserts a coherent adaptive-timestep scope (all six
+//! `tran.*` counters recorded, at least one accepted step, at most two
+//! rejections per accepted step) and non-zero edge, simulation and
+//! cycle counts.
 
+use clocksense_bench::report::{counter, counter_at_least};
 use clocksense_bench::{print_header, ps, scaled, Table};
 use clocksense_core::{interpret, ClockPair, SensorBuilder, Technology};
 use clocksense_scenarios::{DirtyClock, PulseSpec};
@@ -118,6 +123,9 @@ fn run_pair(
 
 fn main() {
     let bench = clocksense_bench::report::start("dirty_stimulus");
+    // The end-of-run assertions read counters, so this bench records
+    // telemetry even without `--report`.
+    clocksense_telemetry::global().enable();
     let tele = &bench.tele;
     let tech = Technology::cmos12();
     let sensor = SensorBuilder::new(tech)
@@ -229,6 +237,31 @@ fn main() {
             .add((droop * 100.0) as u64);
     } else {
         println!("detection held across the whole droop sweep");
+    }
+
+    // The adaptive controller's counters must all be registered,
+    // whatever their values.
+    for name in [
+        "tran.lte_step_shrinks",
+        "tran.lte_step_growths",
+        "tran.breakpoint_clamps",
+        "tran.predictor_newton_iters_saved",
+    ] {
+        counter(name);
+    }
+    let accepted = counter_at_least("tran.steps_accepted", 1);
+    let rejected = counter("tran.steps_rejected");
+    assert!(
+        rejected <= 2 * accepted,
+        "{rejected} rejected vs {accepted} accepted steps: the step controller is thrashing"
+    );
+    for name in [
+        "edges_total",
+        "sims_total",
+        "cycles_total",
+        "cycles_detected",
+    ] {
+        counter_at_least(&format!("dirty_stimulus.{name}"), 1);
     }
 
     bench.finish();

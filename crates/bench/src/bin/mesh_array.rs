@@ -14,12 +14,15 @@
 //! factor, so the flip counts per variant trace how much local
 //! asymmetry the mesh's redundancy hides from the sensor.
 //!
-//! `--report <path>` archives the counters; the CI scenario gate
-//! checks `mesh_array.nodes_total` (>= 1k in the committed run),
-//! `mesh_array.healthy_errors == 0` and the batch-path counters.
+//! At the end of the run the bench asserts that decks were built,
+//! sensors attached and verdicts classified, and that the variants went
+//! through the batched kernel rather than the scalar fallback.
+//! `--report <path>` archives the counters; CI re-checks the committed
+//! run's `mesh_array.grid_nodes_total` (>= 1k).
 
 use std::time::Instant;
 
+use clocksense_bench::report::counter_at_least;
 use clocksense_bench::{fast_mode, print_header, scaled, Table};
 use clocksense_netlist::{Circuit, Device};
 use clocksense_scenarios::{connected_to_ground, MeshSpec, ScenarioDeck, TrixSpec};
@@ -119,6 +122,9 @@ fn run_deck(
 
 fn main() {
     let bench = clocksense_bench::report::start("mesh_array");
+    // The end-of-run assertions read counters, so this bench records
+    // telemetry even without `--report`.
+    clocksense_telemetry::global().enable();
     let width = scaled(5, 3);
     let opts = SimOptions {
         solver: SolverKind::Sparse,
@@ -170,6 +176,16 @@ fn main() {
             "full-mode mesh must cross the 1k-node floor"
         );
     }
+    for name in [
+        "mesh_array.decks_built",
+        "mesh_array.grid_nodes_total",
+        "mesh_array.sensors_attached",
+        "mesh_array.verdicts_total",
+        "batch.batches_run",
+    ] {
+        counter_at_least(name, 1);
+    }
+    counter_at_least("batch.variants_batched", 2);
 
     bench.finish();
 }

@@ -10,7 +10,7 @@
 //!    sampling and compared against the closed-form
 //!    `non_overlap + frac (rise + fall)`. Any disagreement beyond the
 //!    sampling resolution counts into
-//!    `two_phase_gen.margin_violations`, which the CI gate pins to 0.
+//!    `two_phase_gen.margin_violations`, which must stay 0.
 //! 2. **Detection flip sweep** — for each margin, copies of the
 //!    generated φ1 with injected skew drive the sensor test bench, and
 //!    the minimum detected skew is located by bisection in both
@@ -20,6 +20,7 @@
 //!
 //! `--report <path>` archives margins, gaps and flip thresholds.
 
+use clocksense_bench::report::counter_at_least;
 use clocksense_bench::{print_header, ps, scaled, Table};
 use clocksense_core::{interpret, SensorBuilder, SkewVerdict, Technology};
 use clocksense_scenarios::TwoPhaseSpec;
@@ -81,6 +82,9 @@ fn flip_threshold(
 
 fn main() {
     let bench = clocksense_bench::report::start("two_phase_gen");
+    // The end-of-run assertions read counters, so this bench records
+    // telemetry even without `--report`.
+    clocksense_telemetry::global().enable();
     let tele = &bench.tele;
     let tech = Technology::cmos12();
     let sensor = SensorBuilder::new(tech)
@@ -152,6 +156,10 @@ fn main() {
     );
     tele.counter("threshold_spread_fs")
         .add(((hi - lo) * 1e15) as u64);
+
+    counter_at_least("two_phase_gen.margin_checks", 1);
+    counter_at_least("two_phase_gen.sims_total", 1);
+    counter_at_least("two_phase_gen.flip_points_located", 2);
 
     bench.finish();
 }

@@ -16,7 +16,7 @@
 //!   the clean run to 1e-9.
 //!
 //! Violations are tallied per class and reported as counters under the
-//! caller's scope, so `check_report.py --chaos` can gate on zeros.
+//! caller's scope; the `chaos_torture` binary asserts the tally clean.
 
 use std::fs;
 use std::path::PathBuf;

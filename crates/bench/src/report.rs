@@ -57,6 +57,26 @@ pub fn start_scoped(bench: &str, scope: &str) -> BenchReport {
     }
 }
 
+/// Reads counter `name` from the global registry for an end-of-run
+/// assertion. Panics, so the binary exits non-zero, when the run never
+/// registered the counter. A binary that asserts on counters enables the
+/// registry itself, so the counters record with or without `--report`.
+#[track_caller]
+pub fn counter(name: &str) -> u64 {
+    let Some(value) = clocksense_telemetry::global().snapshot().counter(name) else {
+        panic!("counter `{name}` was never recorded");
+    };
+    value
+}
+
+/// [`counter`], asserting the value is at least `min`.
+#[track_caller]
+pub fn counter_at_least(name: &str, min: u64) -> u64 {
+    let value = counter(name);
+    assert!(value >= min, "{name} = {value}, expected >= {min}");
+    value
+}
+
 /// Telemetry reporting for an experiment binary, driven by the shared
 /// `--report <path>` (or `--report=<path>`) command-line flag.
 ///
@@ -109,7 +129,8 @@ impl RunReport {
     /// Writes the telemetry snapshot as JSON to the `--report` path (a
     /// no-op when the flag was absent). Dropping the `RunReport` has
     /// the same effect, so a binary only needs to keep the value alive
-    /// for the duration of `main`.
+    /// for the duration of `main` — except while a panic unwinds: a run
+    /// whose assertions failed writes no report.
     pub fn finish(mut self) {
         self.write();
     }
@@ -135,6 +156,8 @@ impl RunReport {
 
 impl Drop for RunReport {
     fn drop(&mut self) {
-        self.write();
+        if !std::thread::panicking() {
+            self.write();
+        }
     }
 }

@@ -33,8 +33,8 @@
 //! `chaos.injections_fired`; [`disarm`] records the remainder as
 //! `chaos.injections_suppressed` (a planned injection whose site was
 //! never reached — e.g. a flush kill scheduled past the last flush).
-//! `planned == fired + suppressed` is a CI coherence gate
-//! (`check_report.py --chaos`).
+//! `planned == fired + suppressed`; the `chaos_torture` bench asserts it
+//! at the end of every run.
 //!
 //! # Examples
 //!

@@ -90,6 +90,13 @@ fn check_positive(name: &str, v: f64) -> Result<(), ScenarioError> {
     Ok(())
 }
 
+/// Looks up a planned monitor-pair node in the generated grid netlist.
+fn grid_node(ckt: &Circuit, name: &str) -> Result<NodeId, ScenarioError> {
+    ckt.find_node(name).ok_or_else(|| {
+        ScenarioError::InvalidParameter(format!("monitor tap {name} is not a grid node"))
+    })
+}
+
 /// Parameterized clock-mesh generator: an `rows` × `cols` resistive
 /// grid driven from corner `(0, 0)`, monitored by up to `sensors`
 /// sensing circuits on transpose-symmetric tap pairs.
@@ -220,12 +227,8 @@ impl MeshSpec {
             for (k, ((r1, c1), (r2, c2))) in
                 plan.monitor_pairs(self.sensors).into_iter().enumerate()
             {
-                let a = ckt
-                    .find_node(&plan.node_name(r1, c1))
-                    .expect("grid node exists");
-                let b = ckt
-                    .find_node(&plan.node_name(r2, c2))
-                    .expect("grid node exists");
+                let a = grid_node(&ckt, &plan.node_name(r1, c1))?;
+                let b = grid_node(&ckt, &plan.node_name(r2, c2))?;
                 taps.push(attach_sensor(
                     &mut ckt,
                     &sensor,
@@ -378,12 +381,8 @@ impl TrixSpec {
             for (k, ((l1, p1), (l2, p2))) in
                 plan.monitor_pairs(self.sensors).into_iter().enumerate()
             {
-                let a = ckt
-                    .find_node(&plan.node_name(l1, p1))
-                    .expect("grid node exists");
-                let b = ckt
-                    .find_node(&plan.node_name(l2, p2))
-                    .expect("grid node exists");
+                let a = grid_node(&ckt, &plan.node_name(l1, p1))?;
+                let b = grid_node(&ckt, &plan.node_name(l2, p2))?;
                 taps.push(attach_sensor(
                     &mut ckt,
                     &sensor,

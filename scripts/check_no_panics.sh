@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Gate: no panicking calls on library paths of the hardened crates.
 #
-# The service-boundary crates (core, netlist, faults, montecarlo) promise
-# structured errors instead of panics: an `unwrap()` reachable from a
-# library entry point turns a malformed deck or a lost journal into a
-# process abort.
+# The service-boundary crates (core, netlist, faults, montecarlo,
+# scenarios) promise structured errors instead of panics: an `unwrap()`
+# reachable from a library entry point turns a malformed deck or a lost
+# journal into a process abort.
 # This scan walks every src/*.rs of those crates and flags panic-family
 # calls that appear *before* the file's trailing `#[cfg(test)]` module
 # (the repo convention keeps test modules at the end of the file).
@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/core crates/netlist crates/faults crates/montecarlo)
+CRATES=(crates/core crates/netlist crates/faults crates/montecarlo crates/scenarios)
 status=0
 
 for crate in "${CRATES[@]}"; do
@@ -36,7 +36,7 @@ done
 
 if [[ $status -ne 0 ]]; then
     echo "error: panicking calls on non-test library paths (see above)" >&2
-    echo "       return a structured NetlistError/CoreError/FaultError instead" >&2
+    echo "       return a structured NetlistError/CoreError/FaultError/ScenarioError instead" >&2
     exit 1
 fi
 echo "check_no_panics: clean (${CRATES[*]})"
