@@ -2,7 +2,8 @@
 //! circuit variants marched in lockstep over **one** symbolic structure,
 //! with the numeric state held in SIMD-width *lane blocks*.
 //!
-//! Fault value-variants and Monte-Carlo samples differ from each other in
+//! Value variants of one deck (the starved-link variants of a clock
+//! mesh, fault values, Monte-Carlo samples) differ from each other in
 //! device *values* and source *waveforms*, almost never in topology. The
 //! scalar path already shares the symbolic analysis across such variants
 //! through a [`SymbolicCache`]; this module goes further and shares the
@@ -31,14 +32,13 @@
 //!   pivot test per block sweep cover all lanes; a sub-threshold (or
 //!   non-finite) pivot flags only its lane and is overwritten with 1.0
 //!   so the surviving lanes' arithmetic streams on undisturbed.
-//! * **Multi-RHS linear fast path** — batches without MOSFETs have
-//!   state-independent matrices, so each block factors once per
-//!   `(h, method)` and every subsequent Newton iteration and time step
-//!   is one lane-wide forward/back substitution.
+//!
+//! Every block takes the same Newton step, linear batches included, so
+//! per lane the iterate sequence is the scalar kernel's.
 //!
 //! The lockstep march takes its step ends from the same breakpoint grid
-//! as the scalar marchers. The entry point is [`transient_batch`];
-//! [`BatchSim`] packs one aligned group explicitly. Unless
+//! as the scalar marchers. The entry point is [`transient_batch`], which
+//! groups aligned variants and packs each group into a `BatchSim`. Unless
 //! [`SimOptions::batching`] holds (`batch == 0` by default) every caller
 //! stays on the scalar path, bit-identical to [`transient_cached`].
 
@@ -66,7 +66,6 @@ const L: usize = LANE_WIDTH;
 /// system description, sampled series and failure status. All numeric
 /// solver state — matrix planes, iterates, RHS, capacitor states and
 /// companions — lives interleaved in the variant's [`LaneBlock`].
-#[derive(Debug)]
 struct Variant {
     sys: MnaSystem,
     /// Sampled series, staged step-major (one row of non-ground node
@@ -80,7 +79,7 @@ struct Variant {
 
 /// Which devices differ across the batch (delta-stamped per variant) and
 /// which are identical (stamped once into the baseline plane).
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct DeltaSets {
     varying_res: Vec<usize>,
     varying_caps: Vec<usize>,
@@ -98,7 +97,6 @@ struct DeltaSets {
 /// Lanes `width..L` are padding: they mirror the last real variant's
 /// values (keeping the arithmetic finite) and are never scheduled,
 /// sampled or reported.
-#[derive(Debug)]
 struct LaneBlock {
     /// Index of this block's first variant in the batch.
     base: usize,
@@ -106,11 +104,6 @@ struct LaneBlock {
     width: usize,
     /// Interleaved value planes, `nnz * L`.
     vals: Vec<f64>,
-    /// Linear fast path: the factored planes and the `(h, be)` they were
-    /// factored for. Invalidated whenever the step size or method flips.
-    factored: Vec<f64>,
-    has_factored: bool,
-    factored_key: (u64, bool),
     /// Iteration-invariant RHS of the current step (waves, current
     /// sources, capacitor `ieq`), `dim * L`.
     rhs_base: Vec<f64>,
@@ -153,10 +146,7 @@ struct LaneBlock {
 /// snapshots stay byte-identical.
 #[derive(Default)]
 struct StepTally {
-    scheduled: u64,
-    active: u64,
     accepted: u64,
-    refactors_saved: u64,
     lane_scheduled: u64,
     lane_active: u64,
     lane_parked: u64,
@@ -167,10 +157,7 @@ struct StepTally {
 
 impl StepTally {
     fn flush(mut self, bm: &crate::metrics::BatchMetrics) {
-        bm.steps_scheduled.add(self.scheduled);
-        bm.occupancy_active.add(self.active);
         bm.steps_accepted.add(self.accepted);
-        bm.refactors_saved.add(self.refactors_saved);
         bm.lane_slots_scheduled.add(self.lane_scheduled);
         bm.lane_slots_active.add(self.lane_active);
         bm.lane_slots_parked.add(self.lane_parked);
@@ -184,55 +171,11 @@ impl StepTally {
 /// symbolic structure, one stamp plan and one baseline stamp, marched in
 /// lockstep by [`BatchSim::run`].
 ///
-/// Packing fails (with [`SpiceError::InvalidOption`]) unless every
-/// circuit has the same stamp topology — same node/branch layout and the
-/// same matrix positions — with only device values and source waveforms
-/// free to differ. [`transient_batch`] performs this grouping
-/// automatically and falls back to the scalar path for whatever does not
-/// align; reach for `BatchSim` directly when the caller already knows its
-/// variants align (a value-fault campaign, a Monte-Carlo scatter).
-///
-/// # Examples
-///
-/// Two RC variants (different resistance, same topology) batched against
-/// the scalar reference:
-///
-/// ```
-/// use clocksense_netlist::{Circuit, SourceWave, GROUND};
-/// use clocksense_spice::{
-///     transient_cached, BatchSim, SimOptions, SolverKind, SymbolicCache,
-/// };
-///
-/// fn rc(ohms: f64) -> Circuit {
-///     let mut ckt = Circuit::new();
-///     let inp = ckt.node("in");
-///     let out = ckt.node("out");
-///     ckt.add_vsource("vin", inp, GROUND, SourceWave::step(0.0, 1.0, 0.0, 1e-12))
-///         .unwrap();
-///     ckt.add_resistor("r", inp, out, ohms).unwrap();
-///     ckt.add_capacitor("c", out, GROUND, 1e-13).unwrap();
-///     ckt
-/// }
-///
-/// let opts = SimOptions {
-///     solver: SolverKind::Sparse,
-///     batch: 2,
-///     ..SimOptions::default()
-/// };
-/// let cache = SymbolicCache::new();
-/// let variants = [rc(1_000.0), rc(2_000.0)];
-/// let sim = BatchSim::pack(&variants, &opts, &cache).unwrap();
-/// assert_eq!(sim.width(), 2);
-/// let batched = sim.run(1e-9);
-/// for (ckt, result) in variants.iter().zip(&batched) {
-///     let scalar = transient_cached(ckt, 1e-9, &opts, &cache).unwrap();
-///     let got = result.as_ref().unwrap().waveform_named("out").unwrap();
-///     let want = scalar.waveform_named("out").unwrap();
-///     assert!(got.max_abs_difference(&want) < 1e-9);
-/// }
-/// ```
-#[derive(Debug)]
-pub struct BatchSim {
+/// The circuits must share one stamp topology — same node/branch layout
+/// and the same matrix positions — with only device values and source
+/// waveforms free to differ. [`transient_batch`] groups its input by
+/// that alignment and packs each group of two or more.
+struct BatchSim {
     variants: Vec<Variant>,
     blocks: Vec<LaneBlock>,
     plan: Arc<StampPlan>,
@@ -243,7 +186,6 @@ pub struct BatchSim {
     baseline_key: Option<(u64, bool)>,
     deltas: DeltaSets,
     opts: SimOptions,
-    linear: bool,
 }
 
 /// Structural alignment check: two systems may share a batch when their
@@ -281,54 +223,10 @@ fn aligned(a: &MnaSystem, b: &MnaSystem) -> bool {
 }
 
 impl BatchSim {
-    /// Packs `circuits` into one batch over a shared symbolic structure,
-    /// taken from `cache`, and solves each variant's DC initial
-    /// condition over the same structure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidOption`] when the options are out of
-    /// domain, the batch is empty, [`SimOptions::batching`] is false, or
-    /// the circuits are not structurally aligned; propagates netlist
-    /// validation errors from system assembly.
-    pub fn pack(
-        circuits: &[Circuit],
-        opts: &SimOptions,
-        cache: &SymbolicCache,
-    ) -> Result<BatchSim, SpiceError> {
-        opts.validate()?;
-        if circuits.is_empty() {
-            return Err(SpiceError::InvalidOption(
-                "batch must contain at least one circuit".to_string(),
-            ));
-        }
-        if !opts.batching() {
-            return Err(SpiceError::InvalidOption(
-                "batching requires SimOptions { batch >= 2, solver: Sparse, timestep: Fixed, .. }"
-                    .to_string(),
-            ));
-        }
-        if circuits.len() > opts.batch {
-            return Err(SpiceError::InvalidOption(format!(
-                "{} circuits exceed the batch width {}",
-                circuits.len(),
-                opts.batch
-            )));
-        }
-        let systems = circuits
-            .iter()
-            .map(MnaSystem::build)
-            .collect::<Result<Vec<_>, _>>()?;
-        if !systems.iter().all(|s| aligned(&systems[0], s)) {
-            return Err(SpiceError::InvalidOption(
-                "circuits are not structurally aligned for batching".to_string(),
-            ));
-        }
-        Ok(Self::from_systems(systems, opts, cache))
-    }
-
-    /// Packs already-built, already-aligned systems (the internal path of
-    /// [`transient_batch`], which grouped and alignment-checked them).
+    /// Packs already-built, already-aligned systems (grouped and
+    /// alignment-checked by [`transient_batch`]) over one symbolic
+    /// structure, taken from `cache`, and solves each variant's DC
+    /// initial condition over the same structure.
     fn from_systems(systems: Vec<MnaSystem>, opts: &SimOptions, cache: &SymbolicCache) -> BatchSim {
         let sys0 = &systems[0];
         let (baseline, plan) = sys0.sparse_matrix(Some(cache));
@@ -360,7 +258,6 @@ impl BatchSim {
             }
         }
 
-        let linear = sys0.mosfets.is_empty();
         let nnz = baseline.symbolic().nnz();
         let dim = sys0.dim;
         let mut variants: Vec<Variant> = systems
@@ -408,13 +305,7 @@ impl BatchSim {
             baseline_key: None,
             deltas,
             opts: opts.clone(),
-            linear,
         }
-    }
-
-    /// Number of variants packed into this batch.
-    pub fn width(&self) -> usize {
-        self.variants.len()
     }
 
     /// Marches the whole batch in lockstep from `t = 0` to `t_stop` and
@@ -434,7 +325,7 @@ impl BatchSim {
     /// [`SpiceError::DeadlineExceeded`] once
     /// [`SimOptions::deadline`](crate::SimOptions::deadline) expires, and
     /// [`SpiceError::InvalidOption`] for a bad `t_stop`.
-    pub fn run(mut self, t_stop: f64) -> Vec<Result<TranResult, SpiceError>> {
+    fn run(mut self, t_stop: f64) -> Vec<Result<TranResult, SpiceError>> {
         if !(t_stop.is_finite() && t_stop > 0.0) {
             let err = || {
                 Err(SpiceError::InvalidOption(format!(
@@ -448,13 +339,12 @@ impl BatchSim {
         bm.lane_blocks.add(self.blocks.len() as u64);
 
         let opts = self.opts.clone();
-        let width = self.variants.len();
         let sym = Arc::clone(self.baseline.symbolic());
 
         // Lockstep time grid: the union of every variant's source
-        // breakpoints. Identical waves across the batch (value-variant
-        // campaigns) make this grid — and therefore every sample — land
-        // on exactly the scalar grid.
+        // breakpoints. Identical waves across the batch (pure value
+        // variants) make this grid — and therefore every sample — land on
+        // exactly the scalar grid.
         let mut grid = StepGrid::new(self.variants.iter().map(|v| &v.sys), t_stop, opts.tstep_min);
 
         // The lockstep grid is deterministic (no halving), so the sample
@@ -498,15 +388,9 @@ impl BatchSim {
                 self.stamp_baseline(h, be);
                 self.baseline_key = Some(baseline_key);
             }
-            let active = self.variants.iter().filter(|v| v.failed.is_none()).count();
-            let mut tally = StepTally {
-                scheduled: width as u64,
-                active: active as u64,
-                ..StepTally::default()
-            };
+            let mut tally = StepTally::default();
 
-            let (plan, deltas, baseline, linear) =
-                (&self.plan, &self.deltas, &self.baseline, self.linear);
+            let (plan, deltas, baseline) = (&self.plan, &self.deltas, &self.baseline);
             for block in &mut self.blocks {
                 let vars = &mut self.variants[block.base..block.base + block.width];
                 tally.lane_scheduled += L as u64;
@@ -517,15 +401,9 @@ impl BatchSim {
                 if active_lanes == 0 {
                     continue;
                 }
-                if linear {
-                    block.step_linear(
-                        vars, &sym, plan, deltas, baseline, t_next, h, be, &opts, &mut tally,
-                    );
-                } else {
-                    block.step_newton(
-                        vars, &sym, plan, deltas, baseline, t_next, h, be, &opts, &mut tally,
-                    );
-                }
+                block.step_newton(
+                    vars, &sym, plan, deltas, baseline, t_next, h, be, &opts, &mut tally,
+                );
             }
             tally.flush(bm);
 
@@ -669,99 +547,6 @@ fn converge_update_lane(
     converged
 }
 
-/// Per-lane finiteness of the whole candidate block in one pass: each
-/// interleaved cache line is read once and folds into all `L` flags,
-/// instead of `L` strided per-lane walks.
-#[inline(always)]
-fn lanes_finite_body(x_new: &[f64], dim: usize) -> [bool; L] {
-    let mut ok = [true; L];
-    for line in x_new[..dim * L].chunks_exact(L) {
-        for (o, v) in ok.iter_mut().zip(line) {
-            *o &= v.is_finite();
-        }
-    }
-    ok
-}
-
-/// One lane-wide damped-update walk sweep: the scalar tolerance test and
-/// clamped update of [`converge_update_lane`], applied to every lane of
-/// the block in a single pass over the rows. Returns per-lane "was
-/// converged before the update".
-///
-/// The sweep deliberately runs unmasked: a lane that has already
-/// converged sees `delta == 0` and is a no-op, and a failed lane's
-/// iterate is never read again — so extra sweeps are idempotent per lane
-/// and the inner loop stays branch-free for the autovectorizer. Callers
-/// own the per-lane iteration accounting.
-#[inline(always)]
-fn converge_update_lanes_body(
-    x: &mut [f64],
-    x_new: &[f64],
-    n_v: usize,
-    dim: usize,
-    opts: &SimOptions,
-) -> [bool; L] {
-    // `excess[l]` accumulates `max_r(|delta| - tol)`; a lane converged iff
-    // it stays <= 0, which is sign-exact equivalent to the scalar per-row
-    // `|delta| <= tol` test (IEEE subtraction only rounds to zero when the
-    // operands are equal). Keeping the reduction in f64 instead of a bool
-    // array leaves both row sweeps branch-free for the vectoriser.
-    let mut excess = [f64::NEG_INFINITY; L];
-    converge_rows(
-        &mut x[..n_v * L],
-        &x_new[..n_v * L],
-        opts.vntol,
-        opts.reltol,
-        Some(opts.newton_damping),
-        &mut excess,
-    );
-    converge_rows(
-        &mut x[n_v * L..dim * L],
-        &x_new[n_v * L..dim * L],
-        opts.abstol,
-        opts.reltol,
-        None,
-        &mut excess,
-    );
-    let mut conv = [true; L];
-    for (c, &e) in conv.iter_mut().zip(&excess) {
-        // `!(>)` deliberately maps a NaN excess to "converged", matching
-        // the scalar path's `!(delta > tol)` treatment of NaN deltas.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        {
-            *c = !(e > 0.0);
-        }
-    }
-    conv
-}
-
-/// One contiguous row range (all voltage rows or all branch rows) of the
-/// walk sweep: same tolerance, same damping policy, no per-row branches.
-#[inline(always)]
-fn converge_rows(
-    x: &mut [f64],
-    x_new: &[f64],
-    atol: f64,
-    reltol: f64,
-    damping: Option<f64>,
-    excess: &mut [f64; L],
-) {
-    for (lines, news) in x.chunks_exact_mut(L).zip(x_new.chunks_exact(L)) {
-        for l in 0..L {
-            let xi = lines[l];
-            let xn = news[l];
-            let delta = xn - xi;
-            let tol = atol + reltol * xi.abs().max(xn.abs());
-            excess[l] = excess[l].max(delta.abs() - tol);
-            let clamped = match damping {
-                Some(d) => delta.clamp(-d, d),
-                None => delta,
-            };
-            lines[l] += clamped;
-        }
-    }
-}
-
 /// Appends every accepting lane's solution column to its variant's
 /// staged series. The unknown order (node voltages then branch currents)
 /// is exactly the staged row layout, so this is a pure 8-lane transpose:
@@ -778,83 +563,6 @@ fn record_lanes(vars: &mut [Variant], x: &[f64], dim: usize, accept: &[bool; L])
             v.staged.extend(x.chunks_exact(L).map(|line| line[l]));
         }
     }
-}
-
-// SIMD dispatch: the `*_body` functions are `#[inline(always)]` and the
-// `#[target_feature]` wrappers below let the compiler use the wider
-// vector units when the CPU has them, as for the LU kernels in
-// `sparse`; every dispatch target computes identical results.
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lanes_finite_avx512(x_new: &[f64], dim: usize) -> [bool; L] {
-    lanes_finite_body(x_new, dim)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lanes_finite_avx2(x_new: &[f64], dim: usize) -> [bool; L] {
-    lanes_finite_body(x_new, dim)
-}
-
-fn lanes_finite(x_new: &[f64], dim: usize) -> [bool; L] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: the feature is detected at runtime just before the
-        // call; the bodies contain no ISA-specific intrinsics beyond
-        // what codegen emits for the detected feature.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { lanes_finite_avx512(x_new, dim) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { lanes_finite_avx2(x_new, dim) };
-        }
-    }
-    lanes_finite_body(x_new, dim)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn converge_update_lanes_avx512(
-    x: &mut [f64],
-    x_new: &[f64],
-    n_v: usize,
-    dim: usize,
-    opts: &SimOptions,
-) -> [bool; L] {
-    converge_update_lanes_body(x, x_new, n_v, dim, opts)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn converge_update_lanes_avx2(
-    x: &mut [f64],
-    x_new: &[f64],
-    n_v: usize,
-    dim: usize,
-    opts: &SimOptions,
-) -> [bool; L] {
-    converge_update_lanes_body(x, x_new, n_v, dim, opts)
-}
-
-fn converge_update_lanes(
-    x: &mut [f64],
-    x_new: &[f64],
-    n_v: usize,
-    dim: usize,
-    opts: &SimOptions,
-) -> [bool; L] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: as in `lanes_finite`.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { converge_update_lanes_avx512(x, x_new, n_v, dim, opts) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { converge_update_lanes_avx2(x, x_new, n_v, dim, opts) };
-        }
-    }
-    converge_update_lanes_body(x, x_new, n_v, dim, opts)
 }
 
 impl LaneBlock {
@@ -892,9 +600,6 @@ impl LaneBlock {
             base,
             width,
             vals: vec![0.0; nnz * L],
-            factored: vec![0.0; nnz * L],
-            has_factored: false,
-            factored_key: (0, false),
             rhs_base: vec![0.0; dim * L],
             rhs: vec![0.0; dim * L],
             x: vec![0.0; dim * L],
@@ -911,9 +616,9 @@ impl LaneBlock {
             comp_ieq: vec![0.0; n_caps * L],
         };
         // Chaos hook: an armed plan may overwrite one gathered device
-        // value of a single lane with NaN/Inf. The lane's own Newton or
-        // linear walk must then fail with a structured error and drop
-        // out, while the masked sweeps keep every other lane's
+        // value of a single lane with NaN/Inf. The lane's own Newton
+        // step must then fail with a structured error and drop out,
+        // while the masked sweeps keep every other lane's
         // arithmetic untouched — the no-cross-lane-contamination
         // invariant the torture harness verifies.
         if let Some((lane, poison)) = clocksense_chaos::lane_poison_hook(block.width) {
@@ -1007,6 +712,11 @@ impl LaneBlock {
         }
     }
 
+    // SIMD dispatch: the `*_body` methods are `#[inline(always)]` and the
+    // `#[target_feature]` wrappers below let the compiler use the wider
+    // vector units when the CPU has them, as for the LU kernels in
+    // `sparse`; every dispatch target computes identical results.
+
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
     unsafe fn companions_lanes_avx512(&mut self, h: f64, be: bool) {
@@ -1022,7 +732,9 @@ impl LaneBlock {
     fn companions_lanes(&mut self, h: f64, be: bool) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lanes_finite`.
+            // SAFETY: the feature is detected at runtime just before the
+            // call; the bodies contain no ISA-specific intrinsics beyond
+            // what codegen emits for the detected feature.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.companions_lanes_avx512(h, be) };
             }
@@ -1048,7 +760,7 @@ impl LaneBlock {
     fn accept_states(&mut self, sys: &MnaSystem) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lanes_finite`.
+            // SAFETY: as in `companions_lanes`.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.accept_states_avx512(sys) };
             }
@@ -1264,129 +976,6 @@ impl LaneBlock {
         self.accept_states(&vars[0].sys);
         record_lanes(vars, &self.x, dim, &done);
     }
-
-    /// Linear fast path of one block (no MOSFETs): the matrices are
-    /// independent of the iterate, so the block factors all lanes once
-    /// per `(h, method)` and every Newton iteration of every step at
-    /// that size is one lane-wide substitution. The damped-update walk
-    /// still runs exactly as in the scalar loop — repeated solves of an
-    /// unchanged linear system yield an unchanged candidate, so
-    /// re-solving is skipped, not re-ordered.
-    #[allow(clippy::too_many_arguments)]
-    fn step_linear(
-        &mut self,
-        vars: &mut [Variant],
-        sym: &Symbolic,
-        plan: &StampPlan,
-        deltas: &DeltaSets,
-        baseline: &SparseMatrix,
-        t_next: f64,
-        h: f64,
-        be: bool,
-        opts: &SimOptions,
-        tally: &mut StepTally,
-    ) {
-        if let Some(deadline) = &opts.deadline {
-            if deadline.expired() {
-                for v in vars.iter_mut() {
-                    if v.failed.is_none() {
-                        v.failed = Some(SpiceError::DeadlineExceeded { time: t_next });
-                    }
-                }
-                return;
-            }
-        }
-        let dim = vars[0].sys.dim;
-        let n_v = vars[0].sys.n_v;
-        self.companions_lanes(h, be);
-        let key = (h.to_bits(), be);
-        let mut factored_now = 0u64;
-        if !self.has_factored || self.factored_key != key {
-            self.stamp_lanes(plan, deltas, baseline, h, be);
-            let singular = lane_factor::<L>(sym, &mut self.vals, &mut self.row_buf);
-            tally.lane_factor_sweeps += 1;
-            let live = vars.iter().filter(|v| v.failed.is_none()).count() as u64;
-            tally.lu.refactors += live;
-            tally.lu.reuse_hits += live;
-            for (l, v) in vars.iter_mut().enumerate() {
-                if v.failed.is_none() && singular[l] {
-                    v.failed = Some(SpiceError::SingularMatrix);
-                }
-            }
-            self.factored.copy_from_slice(&self.vals);
-            self.has_factored = true;
-            self.factored_key = key;
-            factored_now = 1;
-        }
-        if vars.iter().all(|v| v.failed.is_some()) {
-            return;
-        }
-        self.build_rhs_base(vars, plan, t_next);
-        // The linear RHS has no iterate-dependent part, so rhs_base is
-        // the whole RHS and one substitution serves every walk iteration.
-        lane_substitute::<L>(
-            sym,
-            &self.factored,
-            &self.rhs_base,
-            &mut self.y,
-            &mut self.x_new,
-        );
-        let finite = lanes_finite(&self.x_new, dim);
-        let mut walking = [false; L];
-        for (l, v) in vars.iter_mut().enumerate() {
-            if v.failed.is_some() {
-                continue;
-            }
-            if !finite[l] {
-                v.failed = Some(SpiceError::SingularMatrix);
-            } else {
-                walking[l] = true;
-            }
-        }
-        // Each walk sweep below corresponds to one scalar Newton
-        // iteration per walking lane, each of which would have restamped
-        // and refactored; the cached factored block amortises to zero
-        // factorisations. A lane's iteration count freezes at its own
-        // convergence sweep — later sweeps (driven by slower lanes) leave
-        // its iterate at the fixed point, so the per-lane accounting and
-        // walk arithmetic match the scalar loop's.
-        let mut iters = [0u64; L];
-        let mut done = [false; L];
-        let mut remaining = walking.iter().filter(|&&w| w).count();
-        for _ in 0..opts.max_newton_iters {
-            if remaining == 0 {
-                break;
-            }
-            let conv = converge_update_lanes(&mut self.x, &self.x_new, n_v, dim, opts);
-            for l in 0..L {
-                if walking[l] && !done[l] {
-                    iters[l] += 1;
-                    if conv[l] {
-                        done[l] = true;
-                        remaining -= 1;
-                    }
-                }
-            }
-        }
-        let mut accept = [false; L];
-        for (l, v) in vars.iter_mut().enumerate() {
-            if !walking[l] {
-                continue;
-            }
-            tally.refactors_saved += iters[l] - factored_now;
-            if done[l] {
-                accept[l] = true;
-                tally.accepted += 1;
-            } else {
-                v.failed = Some(SpiceError::NonConvergence {
-                    time: t_next,
-                    diagnostics: None,
-                });
-            }
-        }
-        self.accept_states(&vars[0].sys);
-        record_lanes(vars, &self.x, dim, &accept);
-    }
 }
 
 impl Variant {
@@ -1433,8 +1022,8 @@ impl Variant {
 }
 
 /// Runs a transient analysis of every circuit in `circuits`, batching
-/// structurally-aligned variants into [`BatchSim`] lockstep groups of up
-/// to [`SimOptions::batch`] and falling back to the scalar
+/// structurally-aligned variants into lockstep groups of up to
+/// [`SimOptions::batch`] and falling back to the scalar
 /// [`transient_cached`] path wherever batching does not apply.
 ///
 /// The scalar fallback (per variant) triggers when:
@@ -1496,8 +1085,8 @@ pub fn transient_batch(
         return circuits.iter().map(scalar).collect();
     }
 
-    // Group by structural alignment (linear scan over open groups: fault
-    // universes interleave topology classes, so grouping must not be
+    // Group by structural alignment (linear scan over open groups: an
+    // input may interleave topology classes, so grouping must not be
     // order-sensitive), then chunk each group to the batch width.
     let mut results: Vec<Option<Result<TranResult, SpiceError>>> =
         (0..circuits.len()).map(|_| None).collect();
@@ -1656,6 +1245,26 @@ mod tests {
         }
     }
 
+    /// Asserts every result of `transient_batch` equals its own
+    /// `transient_cached` run bit for bit, in times and in every node.
+    fn assert_bit_equal_to_scalar(circuits: &[Circuit], t_stop: f64, opts: &SimOptions) {
+        let cache = SymbolicCache::new();
+        let results = transient_batch(circuits, t_stop, opts, &cache);
+        assert_eq!(results.len(), circuits.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (ckt, got) in circuits.iter().zip(&results) {
+            let got = got.as_ref().expect("variant completes");
+            let want = transient_cached(ckt, t_stop, opts, &cache).unwrap();
+            assert_eq!(bits(got.times()), bits(want.times()), "times");
+            assert_eq!(got.node_names(), want.node_names());
+            for name in want.node_names() {
+                let a = got.waveform_named(name).unwrap();
+                let b = want.waveform_named(name).unwrap();
+                assert_eq!(bits(a.values()), bits(b.values()), "node {name}");
+            }
+        }
+    }
+
     #[test]
     fn linear_batch_matches_scalar() {
         let circuits: Vec<Circuit> = (0..4)
@@ -1725,45 +1334,20 @@ mod tests {
             .unwrap();
         other.add_resistor("r", a, GROUND, 1e3).unwrap();
         let circuits = vec![rc_chain(1e3, 2e3, 50e-15, 20e-15), other];
-        let cache = SymbolicCache::new();
-        let results = transient_batch(&circuits, 0.2e-9, &batch_opts(8), &cache);
-        assert!(results.iter().all(|r| r.is_ok()));
+        assert_bit_equal_to_scalar(&circuits, 0.2e-9, &batch_opts(8));
     }
 
     #[test]
     fn batch_disabled_routes_everything_scalar() {
-        let circuits = vec![rc_chain(1e3, 2e3, 50e-15, 20e-15); 2];
-        let cache = SymbolicCache::new();
+        let circuits = vec![
+            rc_chain(1e3, 2e3, 50e-15, 20e-15),
+            rc_chain(2e3, 2e3, 40e-15, 20e-15),
+        ];
         let opts = SimOptions {
             solver: SolverKind::Sparse,
             ..SimOptions::default()
         };
-        let results = transient_batch(&circuits, 0.2e-9, &opts, &cache);
-        assert!(results.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn pack_rejects_misaligned_and_dense() {
-        let cache = SymbolicCache::new();
-        let mut other = Circuit::new();
-        let a = other.node("a");
-        other
-            .add_vsource("v", a, GROUND, SourceWave::Dc(1.0))
-            .unwrap();
-        other.add_resistor("r", a, GROUND, 1e3).unwrap();
-        let misaligned = [rc_chain(1e3, 2e3, 50e-15, 20e-15), other];
-        assert!(BatchSim::pack(&misaligned, &batch_opts(2), &cache).is_err());
-
-        let aligned = [
-            rc_chain(1e3, 2e3, 50e-15, 20e-15),
-            rc_chain(2e3, 2e3, 40e-15, 20e-15),
-        ];
-        let dense = SimOptions {
-            batch: 2,
-            ..SimOptions::default()
-        };
-        assert!(BatchSim::pack(&aligned, &dense, &cache).is_err());
-        assert!(BatchSim::pack(&aligned, &batch_opts(2), &cache).is_ok());
+        assert_bit_equal_to_scalar(&circuits, 0.2e-9, &opts);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod options;
 mod sparse;
 mod tran;
 
-pub use batch::{transient_batch, BatchSim, LANE_WIDTH};
+pub use batch::{transient_batch, LANE_WIDTH};
 pub use clocksense_exec::Deadline;
 pub use dc::{
     dc_operating_point, dc_operating_point_cached, dc_sweep, iddq, iddq_cached, DcSolution,

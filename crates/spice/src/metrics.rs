@@ -132,15 +132,6 @@ pub(crate) struct BatchMetrics {
     pub dropouts_nonconvergence: Counter,
     /// Lockstep time steps the kernel accepted, summed over variants.
     pub steps_accepted: Counter,
-    /// Occupancy numerator: active (not dropped-out) variant-steps. Read
-    /// together with `steps_scheduled` this yields the mean fraction of a
-    /// batch still marching in lockstep.
-    pub occupancy_active: Counter,
-    /// Occupancy denominator: variant-steps a full batch would have run.
-    pub steps_scheduled: Counter,
-    /// Numeric factorisations the linear fast path skipped by reusing a
-    /// factored plane across iterations and steps.
-    pub refactors_saved: Counter,
     /// Lane blocks the SoA kernel packed (one per `LANE_WIDTH`-wide
     /// slice of a batch).
     pub lane_blocks: Counter,
@@ -175,9 +166,6 @@ pub(crate) fn batch_metrics() -> &'static BatchMetrics {
             variants_scalar_fallback: scope.counter("variants_scalar_fallback"),
             dropouts_nonconvergence: scope.counter("dropouts_nonconvergence"),
             steps_accepted: scope.counter("steps_accepted"),
-            occupancy_active: scope.counter("occupancy_active"),
-            steps_scheduled: scope.counter("steps_scheduled"),
-            refactors_saved: scope.counter("refactors_saved"),
             lane_blocks: scope.counter("lane_blocks"),
             lane_slots_scheduled: scope.counter("lane_slots_scheduled"),
             lane_slots_active: scope.counter("lane_slots_active"),

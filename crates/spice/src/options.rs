@@ -259,11 +259,10 @@ pub struct SimOptions {
     pub deadline: Option<Deadline>,
     /// Batch width of the many-variant kernel
     /// ([`transient_batch`](crate::transient_batch)): up to this many
-    /// same-topology circuit variants are packed into one
-    /// [`BatchSim`](crate::BatchSim) sharing a single symbolic structure and
-    /// baseline stamp. `0` or `1` (the default is `0`) disables batching,
-    /// and `transient_batch` then runs every variant on the scalar cached
-    /// path.
+    /// same-topology circuit variants are packed into one batch sharing a
+    /// single symbolic structure and baseline stamp. `0` or `1` (the
+    /// default is `0`) disables batching, and `transient_batch` then runs
+    /// every variant on the scalar cached path.
     ///
     /// Only `transient_batch` reads this field. Every other entry point,
     /// and every driver built on them (the fault campaign, the

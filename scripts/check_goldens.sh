@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tolerance-aware golden check: regenerates the three canonical archived
+# Tolerance-aware golden check: regenerates the canonical archived
 # outputs and compares them against the committed files in results/.
 #
 #   results/fig3_report.json      deterministic telemetry counters
+#   results/mesh_array.json       lane-kernel counters (mesh + TRIX decks)
+#   results/chaos_torture.json    lane-kernel and chaos counters
 #   results/fig5_montecarlo.txt     Monte-Carlo V_min scatter table
 #   results/tab1_probabilities.txt  Monte-Carlo probability table
 #
@@ -23,6 +25,14 @@ trap 'rm -rf "$tmp"' EXIT
 echo "==> regenerating fig3_report.json"
 cargo run --release -q -p clocksense-bench --bin fig3_skew -- \
     --report "$tmp/fig3_report.json" > /dev/null
+
+echo "==> regenerating mesh_array.json"
+cargo run --release -q -p clocksense-bench --bin mesh_array -- \
+    --report "$tmp/mesh_array.json" > /dev/null
+
+echo "==> regenerating chaos_torture.json"
+cargo run --release -q -p clocksense-bench --bin chaos_torture -- \
+    --report "$tmp/chaos_torture.json" > /dev/null
 
 echo "==> regenerating fig5_montecarlo.txt"
 cargo run --release -q -p clocksense-bench --bin fig5_montecarlo \
@@ -87,6 +97,8 @@ def check_text(committed_path, fresh_path, abs_tol=0.05, rel_tol=0.10):
 
 
 check_counters("results/fig3_report.json", f"{tmp}/fig3_report.json")
+check_counters("results/mesh_array.json", f"{tmp}/mesh_array.json")
+check_counters("results/chaos_torture.json", f"{tmp}/chaos_torture.json")
 check_text("results/fig5_montecarlo.txt", f"{tmp}/fig5_montecarlo.txt")
 check_text("results/tab1_probabilities.txt", f"{tmp}/tab1_probabilities.txt")
 
@@ -97,5 +109,8 @@ if failures:
     if len(failures) > 40:
         print(f"  ... and {len(failures) - 40} more", file=sys.stderr)
     sys.exit(1)
-print("check_goldens: OK (fig3_report.json counters, fig5 and tab1 tables)")
+print(
+    "check_goldens: OK (fig3_report, mesh_array and chaos_torture counters,"
+    " fig5 and tab1 tables)"
+)
 PY
