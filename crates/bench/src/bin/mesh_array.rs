@@ -15,14 +15,16 @@
 //! asymmetry the mesh's redundancy hides from the sensor.
 //!
 //! At the end of the run the bench asserts that decks were built,
-//! sensors attached and verdicts classified, and that the variants went
-//! through the batched kernel rather than the scalar fallback.
+//! sensors attached and verdicts classified, that the variants went
+//! through the batched kernel rather than the scalar fallback, and that
+//! the lane Newton iterations were counted (`spice.lu_factorizations ==
+//! spice.newton_iterations >= batch.lane_slots_active`).
 //! `--report <path>` archives the counters; CI re-checks the committed
 //! run's `mesh_array.grid_nodes_total` (>= 1k).
 
 use std::time::Instant;
 
-use clocksense_bench::report::counter_at_least;
+use clocksense_bench::report::{counter, counter_at_least};
 use clocksense_bench::{fast_mode, print_header, scaled, Table};
 use clocksense_netlist::{Circuit, Device};
 use clocksense_scenarios::{connected_to_ground, MeshSpec, ScenarioDeck, TrixSpec};
@@ -186,6 +188,17 @@ fn main() {
         counter_at_least(name, 1);
     }
     counter_at_least("batch.variants_batched", 2);
+    // Every live lane of a factor sweep is one Newton iteration and one
+    // LU factorisation, exactly as a scalar iteration counts.
+    let newton = counter_at_least(
+        "spice.newton_iterations",
+        counter("batch.lane_slots_active"),
+    );
+    assert_eq!(
+        counter("spice.lu_factorizations"),
+        newton,
+        "spice.lu_factorizations must equal spice.newton_iterations"
+    );
 
     bench.finish();
 }

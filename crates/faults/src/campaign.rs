@@ -10,8 +10,8 @@ use clocksense_core::{ClockPair, SensingCircuit};
 use clocksense_exec::{Deadline, Executor};
 use clocksense_netlist::{canonical_form, fnv1a, SourceWave, FNV_OFFSET};
 use clocksense_spice::{
-    dc_operating_point_cached, iddq_cached, transient_cached, IntegrationMethod, SimOptions,
-    SpiceError, SymbolicCache,
+    dc_operating_point, transient_cached, DcSolution, IntegrationMethod, SimOptions, SpiceError,
+    SymbolicCache,
 };
 
 use crate::checkpoint::{
@@ -336,34 +336,30 @@ impl fmt::Display for CampaignResult {
     }
 }
 
-/// DC `(y1, y2)` levels of `circuit_builder`'s output under each static
-/// pattern; `None` for patterns whose operating point failed.
-fn static_levels(
+/// The DC operating point of the sensor's static bench under each IDDQ
+/// pattern, with `fault` injected when given: per pattern, the solution
+/// or the simulator error that stopped it. Both static criteria read
+/// these points — the output levels and the supply current — so each
+/// pattern is solved once.
+fn static_points(
     sensor: &SensingCircuit,
     fault: Option<&Fault>,
     cfg: &CampaignConfig,
     rails: &Rails,
     cache: &SymbolicCache,
     opts: &SimOptions,
-    last_failure: &mut Option<FailureInfo>,
-) -> Result<Vec<Option<(f64, f64)>>, FaultError> {
-    let (y1, y2) = sensor.outputs();
-    let mut out = Vec::with_capacity(cfg.iddq_patterns.len());
-    for &(v1, v2) in &cfg.iddq_patterns {
-        let bench = sensor.testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))?;
-        let bench = match fault {
-            Some(f) => inject(&bench, f, rails)?,
-            None => bench,
-        };
-        out.push(match dc_operating_point_cached(&bench, opts, cache) {
-            Ok(op) => Some((op.voltage(y1), op.voltage(y2))),
-            Err(e) => {
-                *last_failure = Some(FailureInfo::from_spice(&e));
-                None
-            }
-        });
-    }
-    Ok(out)
+) -> Result<Vec<Result<DcSolution, SpiceError>>, FaultError> {
+    cfg.iddq_patterns
+        .iter()
+        .map(|&(v1, v2)| {
+            let bench = sensor.testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))?;
+            let bench = match fault {
+                Some(f) => inject(&bench, f, rails)?,
+                None => bench,
+            };
+            Ok(dc_operating_point(&bench, opts, cache))
+        })
+        .collect()
 }
 
 fn evaluate_fault(
@@ -386,23 +382,19 @@ fn evaluate_fault(
     // criterion for stuck-on faults, and a common-mode complement to the
     // divergence scan for the other classes.
     let mut last_failure: Option<FailureInfo> = None;
-    let faulted_static = static_levels(
-        sensor,
-        Some(fault),
-        cfg,
-        rails,
-        cache,
-        opts,
-        &mut last_failure,
-    )?;
+    let faulted_static = static_points(sensor, Some(fault), cfg, rails, cache, opts)?;
     let mut flip = false;
     let mut compared = false;
     for (ff, f) in fault_free_static.iter().zip(&faulted_static) {
-        if let (Some(ff), Some(f)) = (ff, f) {
-            compared = true;
-            if static_flip(&[*ff], &[*f], v_th) {
-                flip = true;
+        match (ff, f) {
+            (Some(ff), Ok(op)) => {
+                compared = true;
+                if static_flip(&[*ff], &[(op.voltage(y1), op.voltage(y2))], v_th) {
+                    flip = true;
+                }
             }
+            (None, Ok(_)) => {}
+            (_, Err(e)) => last_failure = Some(FailureInfo::from_spice(e)),
         }
     }
 
@@ -425,15 +417,19 @@ fn evaluate_fault(
     };
     let logic = divergent || flip;
 
-    // IDDQ under the static patterns (skipped once logic caught it).
+    // IDDQ read off the static operating points (skipped once logic
+    // caught it). A pattern whose point failed reports its error again
+    // here, after the transient's, so the record names the failure last
+    // seen in evaluation order.
     let mut max_iddq: Option<f64> = None;
     let mut iddq_hit = false;
     if !logic {
-        for &(v1, v2) in &cfg.iddq_patterns {
-            let static_bench =
-                sensor.testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))?;
-            let faulted_static = inject(&static_bench, fault, rails)?;
-            match iddq_cached(&faulted_static, SensingCircuit::SUPPLY, opts, cache) {
+        for op in &faulted_static {
+            let current = op.as_ref().map_err(FailureInfo::from_spice).and_then(|op| {
+                op.iddq(SensingCircuit::SUPPLY)
+                    .map_err(|e| FailureInfo::from_spice(&e))
+            });
+            match current {
                 Ok(current) => {
                     let current = current.abs();
                     max_iddq = Some(max_iddq.map_or(current, |m: f64| m.max(current)));
@@ -441,7 +437,7 @@ fn evaluate_fault(
                         iddq_hit = true;
                     }
                 }
-                Err(e) => last_failure = Some(FailureInfo::from_spice(&e)),
+                Err(failure) => last_failure = Some(failure),
             }
         }
     }
@@ -544,16 +540,12 @@ pub fn run_campaign(
     let cache = SymbolicCache::new();
     // A failing fault-free pattern is not an error by itself (the
     // comparison just loses that pattern), so the reason is dropped here.
-    let mut _baseline_failure = None;
-    let fault_free_static = static_levels(
-        sensor,
-        None,
-        cfg,
-        &rails,
-        &cache,
-        &cfg.sim,
-        &mut _baseline_failure,
-    )?;
+    let (y1, y2) = sensor.outputs();
+    let fault_free_static: Vec<Option<(f64, f64)>> =
+        static_points(sensor, None, cfg, &rails, &cache, &cfg.sim)?
+            .iter()
+            .map(|op| op.as_ref().ok().map(|op| (op.voltage(y1), op.voltage(y2))))
+            .collect();
     // Checkpoint replay: hash every item up front (injected netlist +
     // campaign fingerprint), replay journalled verdicts as memo hits,
     // and hand only the remainder to the executor. The `checkpoint.*`
@@ -678,10 +670,9 @@ pub fn run_campaign(
             .counter("retry_scheduled")
             .add(retry_idx.len() as u64);
         let relaxed = cfg.relaxed_sim();
-        let retry_faults: Vec<Fault> = retry_idx.iter().map(|&i| faults[i].clone()).collect();
         // Each retry runs its own halving/rescue ladder under the relaxed
         // options.
-        let retry_records = campaign_records(&retry_faults, cfg.threads, |_, f| {
+        let retry_records = campaign_records_at(faults, &retry_idx, cfg.threads, |_, f| {
             let opts = cfg.item_sim(&relaxed);
             evaluate_fault(sensor, f, cfg, &rails, &cache, &fault_free_static, &opts)
         })?;
@@ -720,24 +711,15 @@ pub fn run_campaign(
     Ok(CampaignResult { records })
 }
 
-/// Evaluates every fault through the shared executor and applies the
-/// campaign's error policy: structural errors abort (first one, in fault
-/// order), panics degrade to [`DetectionOutcome::Inconclusive`] records.
+/// Evaluates the faults at `indices` (original indices into `faults`:
+/// the items a checkpoint replay left, or the retry pass's work list)
+/// through the shared executor, returning one record per index in
+/// `indices` order, and applies the campaign's error policy: structural
+/// errors abort (first one, in `indices` order), panics degrade to
+/// [`DetectionOutcome::Inconclusive`] records.
 ///
 /// Factored out of [`run_campaign`] so the panic policy is testable with
 /// an injected evaluator.
-fn campaign_records(
-    faults: &[Fault],
-    threads: usize,
-    eval: impl Fn(usize, &Fault) -> Result<FaultRecord, FaultError> + Sync,
-) -> Result<Vec<FaultRecord>, FaultError> {
-    let all: Vec<usize> = (0..faults.len()).collect();
-    campaign_records_at(faults, &all, threads, eval)
-}
-
-/// Work-list form of [`campaign_records`]: evaluates only the faults at
-/// `indices` (original indices, e.g. after a checkpoint replay filtered
-/// the universe), returning one record per index in `indices` order.
 fn campaign_records_at(
     faults: &[Fault],
     indices: &[usize],
@@ -863,6 +845,40 @@ mod tests {
     }
 
     #[test]
+    fn failed_dc_point_outranks_failed_transient() {
+        // At a 2-iteration Newton budget every DC point and the transient
+        // fail. The IDDQ pass reports each failed static point after the
+        // transient, so the record carries the last pattern's DC error.
+        let s = sensor();
+        let fault = Fault::Bridge {
+            a: "y1".into(),
+            b: "y2".into(),
+            ohms: 100.0,
+        };
+        let mut cfg = config();
+        cfg.sim.max_newton_iters = 2;
+        cfg.sim.rescue = false;
+        cfg.retry = false;
+        let result = run_campaign(&s, std::slice::from_ref(&fault), &cfg).unwrap();
+        let r = &result.records()[0];
+        assert_eq!(r.outcome, DetectionOutcome::Inconclusive);
+        assert_eq!(r.iddq, None);
+
+        let rails = Rails::vdd_gnd("vdd");
+        let cache = SymbolicCache::new();
+        let &(v1, v2) = cfg.iddq_patterns.last().unwrap();
+        let static_bench = s
+            .testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))
+            .unwrap();
+        let static_bench = inject(&static_bench, &fault, &rails).unwrap();
+        let dc_err = dc_operating_point(&static_bench, &cfg.sim, &cache).unwrap_err();
+        let bench = inject(&s.testbench(&cfg.clocks).unwrap(), &fault, &rails).unwrap();
+        let tran_err = transient_cached(&bench, cfg.stop_time(), &cfg.sim, &cache).unwrap_err();
+        assert_ne!(dc_err.to_string(), tran_err.to_string());
+        assert_eq!(r.failure, Some(FailureInfo::from_spice(&dc_err)));
+    }
+
+    #[test]
     fn display_summarises_per_class() {
         let s = sensor();
         let faults = vec![
@@ -979,7 +995,7 @@ mod tests {
                 level: StuckLevel::Zero,
             })
             .collect();
-        let records = campaign_records(&faults, 2, |_, f| {
+        let records = campaign_records_at(&faults, &[0, 1, 2], 2, |_, f| {
             if matches!(f, Fault::NodeStuckAt { node, .. } if node == "y2") {
                 panic!("injected evaluator panic");
             }
@@ -1021,7 +1037,7 @@ mod tests {
                 level: StuckLevel::One,
             },
         ];
-        let err = campaign_records(&faults, 1, |_, f| match f {
+        let err = campaign_records_at(&faults, &[0, 1], 1, |_, f| match f {
             Fault::NodeStuckAt { node, .. } if node == "no_such_node" => {
                 Err(FaultError::UnknownNode(node.clone()))
             }

@@ -49,7 +49,9 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use clocksense_netlist::f64_bits;
-use clocksense_spice::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
+use clocksense_spice::{
+    IntegrationMethod, SimOptions, SolverKind, TimestepControl, ABSTOL, GMIN, RELTOL, VNTOL,
+};
 
 use crate::campaign::{CampaignConfig, FailureInfo, FailureKind, FaultRecord};
 use crate::detect::DetectionOutcome;
@@ -291,8 +293,9 @@ fn duration_field(d: Option<std::time::Duration>) -> String {
 /// simulation result. The `deadline` token is deliberately excluded: it
 /// is per-item wall-clock state, covered by the campaign fingerprint's
 /// `item_deadline` budget instead. `batch` is kept although no campaign
-/// or scatter result depends on it, so that existing journals keep their
-/// item hashes.
+/// or scatter result depends on it, and the fixed Newton tolerances
+/// ([`RELTOL`], [`VNTOL`], [`ABSTOL`], [`GMIN`]) are printed where they
+/// were once options, so that existing journals keep their item hashes.
 pub fn sim_options_fingerprint(sim: &SimOptions) -> String {
     let method = match sim.method {
         IntegrationMethod::Trapezoidal => "trap",
@@ -310,10 +313,10 @@ pub fn sim_options_fingerprint(sim: &SimOptions) -> String {
     };
     format!(
         "sim;reltol={};vntol={};abstol={};gmin={};iters={};tstep={};tstep_min={};method={method};timestep={timestep};solver={solver};damping={};rescue={};batch={}",
-        f64_bits(sim.reltol),
-        f64_bits(sim.vntol),
-        f64_bits(sim.abstol),
-        f64_bits(sim.gmin),
+        f64_bits(RELTOL),
+        f64_bits(VNTOL),
+        f64_bits(ABSTOL),
+        f64_bits(GMIN),
         sim.max_newton_iters,
         f64_bits(sim.tstep),
         f64_bits(sim.tstep_min),
@@ -629,11 +632,23 @@ mod tests {
     }
 
     #[test]
+    fn default_sim_fingerprint_text_is_pinned() {
+        // Journals written before the tolerances became constants hash
+        // this exact text; any change turns all their records into misses.
+        assert_eq!(
+            sim_options_fingerprint(&SimOptions::default()),
+            "sim;reltol=3f50624dd2f1a9fc;vntol=3eb0c6f7a0b5ed8d;abstol=3d719799812dea11;\
+             gmin=3d719799812dea11;iters=100;tstep=3d719799812dea11;tstep_min=3c9cd2b297d889bc;\
+             method=trap;timestep=fixed;solver=dense;damping=4000000000000000;rescue=true;batch=0"
+        );
+    }
+
+    #[test]
     fn fingerprint_tracks_every_knob() {
         let base = CampaignConfig::new(ClockPair::single_shot(5.0, 0.2e-9));
         let fp = campaign_fingerprint(&base, 2.5);
         let mut sim = base.clone();
-        sim.sim.reltol *= 2.0;
+        sim.sim.tstep_min *= 2.0;
         assert_ne!(campaign_fingerprint(&sim, 2.5), fp);
         let mut retry = base.clone();
         retry.retry = false;

@@ -49,7 +49,7 @@ use clocksense_netlist::Circuit;
 use crate::engine::{MnaSystem, Row, StampPlan};
 use crate::error::SpiceError;
 use crate::mos_eval::channel_current_lanes;
-use crate::options::{IntegrationMethod, SimOptions};
+use crate::options::{IntegrationMethod, SimOptions, ABSTOL, GMIN, RELTOL, VNTOL};
 use crate::sparse::{lane_factor, lane_substitute, LuTally, SparseMatrix, Symbolic, SymbolicCache};
 use crate::tran::{transient_cached, StepGrid, TranResult};
 
@@ -139,11 +139,11 @@ struct LaneBlock {
     comp_ieq: Vec<f64>,
 }
 
-/// Locally accumulated per-step telemetry, flushed to the `batch.*` (and,
-/// via [`LuTally`], `spice.*`) atomics in one `add` per counter per
-/// lockstep step — the Newton inner loop touches no shared cache lines.
-/// The flushed totals are identical to per-event `incr`s, so clean-report
-/// snapshots stay byte-identical.
+/// Locally accumulated per-step telemetry, flushed to the `batch.*` and
+/// `spice.*` atomics in one `add` per counter per lockstep step — the
+/// Newton inner loop touches no shared cache lines. The flushed totals
+/// are identical to per-event `incr`s, so clean-report snapshots stay
+/// byte-identical.
 #[derive(Default)]
 struct StepTally {
     accepted: u64,
@@ -152,6 +152,9 @@ struct StepTally {
     lane_parked: u64,
     lane_padding: u64,
     lane_factor_sweeps: u64,
+    /// Lane Newton iterations: each live lane of a factor sweep counts
+    /// one iteration and one LU factorisation, as in the scalar loop.
+    newton_iterations: u64,
     lu: LuTally,
 }
 
@@ -163,6 +166,9 @@ impl StepTally {
         bm.lane_slots_parked.add(self.lane_parked);
         bm.lane_slots_padding.add(self.lane_padding);
         bm.lane_factor_sweeps.add(self.lane_factor_sweeps);
+        let tm = crate::metrics::metrics();
+        tm.newton_iterations.add(self.newton_iterations);
+        tm.lu_factorizations.add(self.newton_iterations);
         self.lu.flush();
     }
 }
@@ -229,7 +235,7 @@ impl BatchSim {
     /// initial condition over the same structure.
     fn from_systems(systems: Vec<MnaSystem>, opts: &SimOptions, cache: &SymbolicCache) -> BatchSim {
         let sys0 = &systems[0];
-        let (baseline, plan) = sys0.sparse_matrix(Some(cache));
+        let (baseline, plan) = sys0.sparse_matrix(cache);
         let plan = Arc::new(plan);
 
         // Delta sets: a device is "varying" when any variant disagrees
@@ -286,7 +292,7 @@ impl BatchSim {
         // A DC failure is an immediate dropout; the solution scatters
         // into the variant's lane.
         for (i, v) in variants.iter_mut().enumerate() {
-            match crate::dc::solve_with_continuation(&v.sys, 0.0, opts, Some(cache)) {
+            match crate::dc::solve_with_continuation(&v.sys, 0.0, opts, cache) {
                 Ok(x0) => {
                     let block = &mut blocks[i / L];
                     block.seed_states(i % L, &v.sys, &x0);
@@ -468,7 +474,7 @@ impl BatchSim {
             }
         }
         for &slot in &plan.node_diag {
-            vals[slot] += self.opts.gmin;
+            vals[slot] += GMIN;
         }
     }
 }
@@ -530,9 +536,9 @@ fn converge_update_lane(
         let xn = x_new[r * L + lane];
         let delta = xn - xi;
         let tol = if r < n_v {
-            opts.vntol + opts.reltol * xi.abs().max(xn.abs())
+            VNTOL + RELTOL * xi.abs().max(xn.abs())
         } else {
-            opts.abstol + opts.reltol * xi.abs().max(xn.abs())
+            ABSTOL + RELTOL * xi.abs().max(xn.abs())
         };
         if delta.abs() > tol {
             converged = false;
@@ -657,8 +663,7 @@ impl LaneBlock {
     /// of the scalar per-variant `(geq, ieq)` rebuild. Failed and padding
     /// lanes compute along: their inputs are finite (zero-seeded or
     /// mirrored), the results are finite, and nothing reads them back.
-    #[inline(always)]
-    fn companions_lanes_body(&mut self, h: f64, be: bool) {
+    fn companions_lanes(&mut self, h: f64, be: bool) {
         if be {
             for (((geq, ieq), &f), &u) in self
                 .comp_geq
@@ -691,8 +696,7 @@ impl LaneBlock {
     /// failed lane's states are never read again and a padding lane's
     /// are never reported, so overwriting them is observationally
     /// equivalent to the scalar path's converged-only update.
-    #[inline(always)]
-    fn accept_states_body(&mut self, sys: &MnaSystem) {
+    fn accept_states(&mut self, sys: &MnaSystem) {
         for (j, cap) in sys.capacitors.iter().enumerate() {
             let base = j * L;
             // Hoisting the terminal match out of the lane loop leaves each
@@ -710,65 +714,6 @@ impl LaneBlock {
                 self.st_i[base + l] = self.comp_geq[base + l] * u - self.comp_ieq[base + l];
             }
         }
-    }
-
-    // SIMD dispatch: the `*_body` methods are `#[inline(always)]` and the
-    // `#[target_feature]` wrappers below let the compiler use the wider
-    // vector units when the CPU has them, as for the LU kernels in
-    // `sparse`; every dispatch target computes identical results.
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn companions_lanes_avx512(&mut self, h: f64, be: bool) {
-        self.companions_lanes_body(h, be);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn companions_lanes_avx2(&mut self, h: f64, be: bool) {
-        self.companions_lanes_body(h, be);
-    }
-
-    fn companions_lanes(&mut self, h: f64, be: bool) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: the feature is detected at runtime just before the
-            // call; the bodies contain no ISA-specific intrinsics beyond
-            // what codegen emits for the detected feature.
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return unsafe { self.companions_lanes_avx512(h, be) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return unsafe { self.companions_lanes_avx2(h, be) };
-            }
-        }
-        self.companions_lanes_body(h, be);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn accept_states_avx512(&mut self, sys: &MnaSystem) {
-        self.accept_states_body(sys);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn accept_states_avx2(&mut self, sys: &MnaSystem) {
-        self.accept_states_body(sys);
-    }
-
-    fn accept_states(&mut self, sys: &MnaSystem) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: as in `companions_lanes`.
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return unsafe { self.accept_states_avx512(sys) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return unsafe { self.accept_states_avx2(sys) };
-            }
-        }
-        self.accept_states_body(sys);
     }
 
     /// Scatters a variant's solution vector into its lane of `x`.
@@ -842,8 +787,8 @@ impl LaneBlock {
     /// all lanes: one [`channel_current_lanes`] call per device, then
     /// lane-wide Jacobian, RHS and gmin stamps in the scalar per-device
     /// order.
-    fn stamp_mos_lanes(&mut self, vars: &[Variant], plan: &StampPlan, gmin: f64) {
-        let gmin_lanes = [gmin; L];
+    fn stamp_mos_lanes(&mut self, vars: &[Variant], plan: &StampPlan) {
+        let gmin_lanes = [GMIN; L];
         for (mi, slots) in plan.mos.iter().enumerate() {
             let mos0 = &vars[0].sys.mosfets[mi];
             let mut vd = [0.0f64; L];
@@ -932,10 +877,11 @@ impl LaneBlock {
             }
             self.stamp_lanes(plan, deltas, baseline, h, be);
             self.rhs.copy_from_slice(&self.rhs_base);
-            self.stamp_mos_lanes(vars, plan, opts.gmin);
+            self.stamp_mos_lanes(vars, plan);
             let singular = lane_factor::<L>(sym, &mut self.vals, &mut self.row_buf);
             tally.lane_factor_sweeps += 1;
             let live = solving.iter().filter(|&&s| s).count() as u64;
+            tally.newton_iterations += live;
             tally.lu.refactors += live;
             tally.lu.reuse_hits += live;
             for (l, v) in vars.iter_mut().enumerate() {

@@ -1,17 +1,17 @@
-//! DC operating-point analysis and quiescent-current (IDDQ) measurement.
+//! DC operating-point analysis; the quiescent supply current (IDDQ) is
+//! read off the solution.
 
-use clocksense_netlist::{Circuit, Device, NodeId, SourceWave};
+use clocksense_netlist::{Circuit, NodeId};
 
 use crate::engine::{MnaSystem, NewtonWorkspace};
 use crate::error::SpiceError;
-use crate::options::SimOptions;
+use crate::options::{SimOptions, GMIN};
 use crate::sparse::SymbolicCache;
 
 /// A DC solution: node voltages and voltage-source branch currents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcSolution {
     x: Vec<f64>,
-    n_v: usize,
     source_branches: Vec<(String, usize)>,
 }
 
@@ -31,13 +31,32 @@ impl DcSolution {
 
     /// Branch current of the named voltage source, defined flowing from its
     /// `plus` terminal through the source to `minus`. A supply delivering
-    /// current into the circuit therefore reads *negative*; see [`iddq`]
-    /// for the sign-corrected supply draw.
+    /// current into the circuit therefore reads *negative*; see
+    /// [`iddq`](DcSolution::iddq) for the sign-corrected supply draw.
     pub fn source_current(&self, name: &str) -> Option<f64> {
         self.source_branches
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, row)| self.x[row])
+    }
+
+    /// Quiescent current delivered by the voltage source named `supply`
+    /// at this operating point (positive for a normally loaded rail).
+    ///
+    /// This is the IDDQ observable the paper uses to catch pull-up
+    /// stuck-on transistors and resistive bridgings that produce no logic
+    /// error: a conducting fight between the pull-up and pull-down
+    /// networks shows up as static current orders of magnitude above the
+    /// fault-free leakage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::UnknownProbe`] if `supply` does not name a
+    /// voltage source.
+    pub fn iddq(&self, supply: &str) -> Result<f64, SpiceError> {
+        self.source_current(supply)
+            .map(|i| -i)
+            .ok_or_else(|| SpiceError::UnknownProbe(supply.to_string()))
     }
 
     /// The raw solution vector (node voltages then branch currents).
@@ -47,22 +66,21 @@ impl DcSolution {
 }
 
 /// Solution vector of `sys` at time `t`: a direct Newton solve, then gmin
-/// stepping, then source stepping. Shared by the DC entry points and the
-/// transient `t = 0` initial condition.
+/// stepping, then source stepping. Shared by [`dc_operating_point`] and
+/// the transient `t = 0` initial conditions.
 pub(crate) fn solve_with_continuation(
     sys: &MnaSystem,
     t: f64,
     opts: &SimOptions,
-    cache: Option<&SymbolicCache>,
+    cache: &SymbolicCache,
 ) -> Result<Vec<f64>, SpiceError> {
     // One workspace (matrix structure + stamp plan) serves the whole
-    // continuation ladder — the sparse backend analyses the topology at
-    // most once per DC solve even without an external cache.
+    // continuation ladder.
     let mut ws = NewtonWorkspace::for_system(sys, opts.solver, cache);
     let flat = vec![0.0; sys.dim];
     // 1. Direct attempt from a flat start.
     if sys
-        .newton_solve_ws(t, &flat, opts, opts.gmin, 1.0, |_, _, _| {}, &mut ws)
+        .newton_solve_ws(t, &flat, opts, GMIN, 1.0, |_, _, _| {}, &mut ws)
         .is_ok()
     {
         return Ok(ws.x);
@@ -80,7 +98,7 @@ pub(crate) fn solve_with_continuation(
     let mut last_good: Option<f64> = None;
     let mut bisect_budget = BISECT_BUDGET;
     let mut ok = true;
-    while gmin > opts.gmin {
+    while gmin > GMIN {
         tm.gmin_steps.incr();
         match sys.newton_solve_ws(t, &x, opts, gmin, 1.0, |_, _, _| {}, &mut ws) {
             Ok(_) => {
@@ -103,7 +121,7 @@ pub(crate) fn solve_with_continuation(
     }
     if ok
         && sys
-            .newton_solve_ws(t, &x, opts, opts.gmin, 1.0, |_, _, _| {}, &mut ws)
+            .newton_solve_ws(t, &x, opts, GMIN, 1.0, |_, _, _| {}, &mut ws)
             .is_ok()
     {
         return Ok(ws.x);
@@ -113,7 +131,7 @@ pub(crate) fn solve_with_continuation(
     for step in 1..=20 {
         tm.source_steps.incr();
         let scale = step as f64 / 20.0;
-        sys.newton_solve_ws(t, &x, opts, opts.gmin, scale, |_, _, _| {}, &mut ws)
+        sys.newton_solve_ws(t, &x, opts, GMIN, scale, |_, _, _| {}, &mut ws)
             .map_err(|e| match e {
                 // Keep the Newton diagnostics of the failing ramp point;
                 // normalise everything else to the documented error.
@@ -129,7 +147,12 @@ pub(crate) fn solve_with_continuation(
 /// `t = 0` values and all capacitors open.
 ///
 /// Convergence is attempted directly, then with gmin stepping, then with
-/// source stepping — the standard SPICE continuation ladder.
+/// source stepping — the standard SPICE continuation ladder. When
+/// `opts.solver` is [`Sparse`](crate::SolverKind::Sparse), the symbolic
+/// analysis of the circuit's topology is taken from (or inserted into)
+/// `cache`, so same-topology variants — a fault campaign's static
+/// patterns — pay for the fill-reducing ordering once; the dense backend
+/// ignores the cache.
 ///
 /// # Errors
 ///
@@ -141,7 +164,7 @@ pub(crate) fn solve_with_continuation(
 ///
 /// ```
 /// use clocksense_netlist::{Circuit, SourceWave, GROUND};
-/// use clocksense_spice::{dc_operating_point, SimOptions};
+/// use clocksense_spice::{dc_operating_point, SimOptions, SymbolicCache};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ckt = Circuit::new();
@@ -150,39 +173,21 @@ pub(crate) fn solve_with_continuation(
 /// ckt.add_vsource("v", a, GROUND, SourceWave::Dc(10.0))?;
 /// ckt.add_resistor("r1", a, b, 1_000.0)?;
 /// ckt.add_resistor("r2", b, GROUND, 3_000.0)?;
-/// let op = dc_operating_point(&ckt, &SimOptions::default())?;
+/// let op = dc_operating_point(&ckt, &SimOptions::default(), &SymbolicCache::new())?;
 /// assert!((op.voltage(b) - 7.5).abs() < 1e-6);
+/// assert!((op.iddq("v")? - 2.5e-3).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-pub fn dc_operating_point(circuit: &Circuit, opts: &SimOptions) -> Result<DcSolution, SpiceError> {
-    dc_operating_point_with(circuit, opts, None)
-}
-
-/// [`dc_operating_point`] with a shared [`SymbolicCache`]: when
-/// `opts.solver` is [`Sparse`](crate::SolverKind::Sparse), the symbolic
-/// analysis of the circuit's topology is taken from (or inserted into)
-/// `cache`, so batched analyses of same-topology variants — a fault
-/// campaign's DC static levels, an IDDQ pattern set — pay for the
-/// fill-reducing ordering once.
-pub fn dc_operating_point_cached(
+pub fn dc_operating_point(
     circuit: &Circuit,
     opts: &SimOptions,
     cache: &SymbolicCache,
-) -> Result<DcSolution, SpiceError> {
-    dc_operating_point_with(circuit, opts, Some(cache))
-}
-
-fn dc_operating_point_with(
-    circuit: &Circuit,
-    opts: &SimOptions,
-    cache: Option<&SymbolicCache>,
 ) -> Result<DcSolution, SpiceError> {
     opts.validate()?;
     let sys = MnaSystem::build(circuit)?;
     let x = solve_with_continuation(&sys, 0.0, opts, cache)?;
     Ok(DcSolution {
-        n_v: sys.n_v,
         source_branches: sys
             .vsources
             .iter()
@@ -192,99 +197,14 @@ fn dc_operating_point_with(
     })
 }
 
-/// Sweeps the DC value of the voltage source named `source` over `values`,
-/// returning one operating point per value.
-///
-/// The source's waveform is replaced by `SourceWave::Dc` at each point;
-/// solutions are warm-started from the previous point, which is what makes
-/// transfer-curve extraction robust around high-gain transitions.
-///
-/// # Errors
-///
-/// Returns [`SpiceError::UnknownProbe`] if `source` does not name a voltage
-/// source, plus any error [`dc_operating_point`] can produce.
-pub fn dc_sweep(
-    circuit: &Circuit,
-    source: &str,
-    values: &[f64],
-    opts: &SimOptions,
-) -> Result<Vec<DcSolution>, SpiceError> {
-    opts.validate()?;
-    let id = circuit
-        .find_device(source)
-        .ok_or_else(|| SpiceError::UnknownProbe(source.to_string()))?;
-    let mut work = circuit.clone();
-    let mut out = Vec::with_capacity(values.len());
-    let mut prev: Option<Vec<f64>> = None;
-    // Every sweep point shares one topology; a local cache keeps the
-    // sparse backend at a single symbolic analysis for the whole sweep.
-    let cache = SymbolicCache::new();
-    for &value in values {
-        match &mut work.device_mut(id).expect("checked above").device {
-            Device::VoltageSource(v) => v.wave = SourceWave::Dc(value),
-            _ => return Err(SpiceError::UnknownProbe(source.to_string())),
-        }
-        let sys = MnaSystem::build(&work)?;
-        let x = match &prev {
-            Some(x0) => sys
-                .newton_solve(0.0, x0, opts, opts.gmin, 1.0, |_, _, _| {}, Some(&cache))
-                .or_else(|_| solve_with_continuation(&sys, 0.0, opts, Some(&cache)))?,
-            None => solve_with_continuation(&sys, 0.0, opts, Some(&cache))?,
-        };
-        prev = Some(x.clone());
-        out.push(DcSolution {
-            n_v: sys.n_v,
-            source_branches: sys
-                .vsources
-                .iter()
-                .map(|v| (v.name.clone(), sys.n_v + v.branch))
-                .collect(),
-            x,
-        });
-    }
-    Ok(out)
-}
-
-/// Measures the quiescent supply current drawn from the voltage source
-/// named `supply` at the DC operating point.
-///
-/// This is the IDDQ observable the paper uses to catch pull-up stuck-on
-/// transistors and resistive bridgings that produce no logic error: a
-/// conducting fight between the pull-up and pull-down networks shows up as
-/// static current orders of magnitude above the fault-free leakage.
-///
-/// The returned value is the current *delivered by* the supply (positive
-/// for a normally loaded rail).
-///
-/// # Errors
-///
-/// Returns [`SpiceError::UnknownProbe`] if `supply` does not name a voltage
-/// source, plus any error of [`dc_operating_point`].
-pub fn iddq(circuit: &Circuit, supply: &str, opts: &SimOptions) -> Result<f64, SpiceError> {
-    let op = dc_operating_point(circuit, opts)?;
-    op.source_current(supply)
-        .map(|i| -i)
-        .ok_or_else(|| SpiceError::UnknownProbe(supply.to_string()))
-}
-
-/// [`iddq`] with a shared [`SymbolicCache`]; see
-/// [`dc_operating_point_cached`] for the reuse semantics.
-pub fn iddq_cached(
-    circuit: &Circuit,
-    supply: &str,
-    opts: &SimOptions,
-    cache: &SymbolicCache,
-) -> Result<f64, SpiceError> {
-    let op = dc_operating_point_cached(circuit, opts, cache)?;
-    op.source_current(supply)
-        .map(|i| -i)
-        .ok_or_else(|| SpiceError::UnknownProbe(supply.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clocksense_netlist::{MosParams, MosPolarity, GROUND};
+    use clocksense_netlist::{MosParams, MosPolarity, SourceWave, GROUND};
+
+    fn solve(ckt: &Circuit) -> DcSolution {
+        dc_operating_point(ckt, &SimOptions::default(), &SymbolicCache::new()).unwrap()
+    }
 
     fn nmos() -> MosParams {
         MosParams {
@@ -338,42 +258,34 @@ mod tests {
             .unwrap();
         ckt.add_resistor("r1", a, b, 2000.0).unwrap();
         ckt.add_resistor("r2", b, GROUND, 1000.0).unwrap();
-        let op = dc_operating_point(&ckt, &SimOptions::default()).unwrap();
+        let op = solve(&ckt);
         assert!((op.voltage(b) - 3.0).abs() < 1e-6);
         assert!((op.voltage(GROUND)).abs() < 1e-15);
-        // 3 mA delivered.
+        // 3 mA delivered: the branch current reads negative, the supply
+        // draw positive.
         assert!((op.source_current("v").unwrap() + 3e-3).abs() < 1e-7);
+        assert_eq!(op.iddq("v").unwrap(), -op.source_current("v").unwrap());
     }
 
     #[test]
     fn inverter_rails() {
-        let opts = SimOptions::default();
         let (low_in, _, out) = inverter(0.0);
-        let op = dc_operating_point(&low_in, &opts).unwrap();
-        assert!(op.voltage(out) > 4.99, "input low -> output at vdd");
+        assert!(
+            solve(&low_in).voltage(out) > 4.99,
+            "input low -> output at vdd"
+        );
 
         let (high_in, _, out) = inverter(5.0);
-        let op = dc_operating_point(&high_in, &opts).unwrap();
-        assert!(op.voltage(out) < 0.01, "input high -> output at ground");
-    }
-
-    #[test]
-    fn inverter_transfer_curve_is_monotone_falling() {
-        let (ckt, _, out) = inverter(0.0);
-        let values: Vec<f64> = (0..=50).map(|i| i as f64 * 0.1).collect();
-        let sweep = dc_sweep(&ckt, "vin", &values, &SimOptions::default()).unwrap();
-        let vout: Vec<f64> = sweep.iter().map(|s| s.voltage(out)).collect();
-        assert!(vout[0] > 4.9);
-        assert!(vout[50] < 0.1);
-        for w in vout.windows(2) {
-            assert!(w[1] <= w[0] + 1e-6, "vtc must be non-increasing");
-        }
+        assert!(
+            solve(&high_in).voltage(out) < 0.01,
+            "input high -> output at ground"
+        );
     }
 
     #[test]
     fn iddq_of_healthy_inverter_is_tiny() {
         let (ckt, _, _) = inverter(0.0);
-        let i = iddq(&ckt, "vdd", &SimOptions::default()).unwrap();
+        let i = solve(&ckt).iddq("vdd").unwrap();
         assert!(
             i.abs() < 1e-6,
             "quiescent current should be leakage only, got {i}"
@@ -384,7 +296,7 @@ mod tests {
     fn iddq_of_fighting_networks_is_large() {
         // Tie the inverter input to mid-rail: both devices conduct.
         let (ckt, _, _) = inverter(2.5);
-        let i = iddq(&ckt, "vdd", &SimOptions::default()).unwrap();
+        let i = solve(&ckt).iddq("vdd").unwrap();
         assert!(
             i > 1e-5,
             "conducting fight must draw static current, got {i}"
@@ -394,15 +306,7 @@ mod tests {
     #[test]
     fn unknown_supply_is_reported() {
         let (ckt, _, _) = inverter(0.0);
-        let err = iddq(&ckt, "nope", &SimOptions::default()).unwrap_err();
+        let err = solve(&ckt).iddq("nope").unwrap_err();
         assert_eq!(err, SpiceError::UnknownProbe("nope".into()));
-    }
-
-    #[test]
-    fn sweep_rejects_non_source() {
-        let (mut ckt, _, out) = inverter(0.0);
-        ckt.add_resistor("rl", out, GROUND, 1e6).unwrap();
-        let err = dc_sweep(&ckt, "rl", &[0.0], &SimOptions::default()).unwrap_err();
-        assert_eq!(err, SpiceError::UnknownProbe("rl".into()));
     }
 }

@@ -9,11 +9,12 @@
 //! Stamping is compiled: [`MnaSystem`] derives the set of matrix positions
 //! its devices touch once ([`MnaSystem::stamp_pattern`]) and resolves them
 //! into a [`StampPlan`] of direct slot indices for the chosen backend
-//! ([`DenseMatrix`] row-major offsets, or CSR slots of the sparse solver's
-//! [`Symbolic`] structure). Every Newton iteration then writes through the
-//! precomputed offsets — no coordinate arithmetic or binary searches on
-//! the hot path, and the same plan drives both backends so their stamped
-//! matrices are entry-for-entry identical.
+//! ([`DenseMatrix`] row-major offsets, or CSR slots of the sparse
+//! solver's [`Symbolic`](crate::Symbolic) structure). Every Newton
+//! iteration then writes through the precomputed offsets — no coordinate
+//! arithmetic or binary searches on the hot path, and the same plan
+//! drives both backends so their stamped matrices are entry-for-entry
+//! identical.
 
 use std::sync::Arc;
 
@@ -22,8 +23,8 @@ use clocksense_netlist::{Circuit, Device, MosParams, MosPolarity, NodeId, Source
 use crate::error::SpiceError;
 use crate::matrix::{DenseMatrix, LuScratch};
 use crate::mos_eval::channel_current;
-use crate::options::{SimOptions, SolverKind};
-use crate::sparse::{SparseMatrix, Symbolic, SymbolicCache};
+use crate::options::{SimOptions, SolverKind, ABSTOL, RELTOL, VNTOL};
+use crate::sparse::{SparseMatrix, SymbolicCache};
 
 /// The MNA matrix behind a Newton solve: dense reference backend or the
 /// sparse structure-caching backend, selected by [`SimOptions::solver`].
@@ -250,12 +251,12 @@ pub(crate) struct NewtonWorkspace {
 
 impl NewtonWorkspace {
     /// Builds a workspace for `sys` on the chosen backend. For the sparse
-    /// backend the symbolic analysis is taken from `cache` when one is
-    /// supplied (hit ⇒ only numeric state is fresh), or computed here.
+    /// backend the symbolic analysis is taken from `cache` (hit ⇒ only
+    /// numeric state is fresh), or computed and inserted on a miss.
     pub fn for_system(
         sys: &MnaSystem,
         solver: SolverKind,
-        cache: Option<&SymbolicCache>,
+        cache: &SymbolicCache,
     ) -> NewtonWorkspace {
         let dim = sys.dim;
         let (m, plan) = match solver {
@@ -506,19 +507,11 @@ impl MnaSystem {
     }
 
     /// A zero sparse matrix for this system and its stamp plan. The
-    /// symbolic analysis is taken from `cache` when one is supplied (a
-    /// hit makes even the first factorisation a symbolic reuse), or
-    /// computed here.
-    pub(crate) fn sparse_matrix(&self, cache: Option<&SymbolicCache>) -> (SparseMatrix, StampPlan) {
-        let pattern = self.stamp_pattern();
-        let n_tail = self.vsources.len();
-        let (sym, hit) = match cache {
-            Some(cache) => cache.get_or_analyze(self.dim, &pattern, n_tail),
-            None => (
-                Arc::new(Symbolic::analyze(self.dim, &pattern, n_tail)),
-                false,
-            ),
-        };
+    /// symbolic analysis is taken from `cache` (a hit makes even the
+    /// first factorisation a symbolic reuse), or computed and inserted on
+    /// a miss.
+    pub(crate) fn sparse_matrix(&self, cache: &SymbolicCache) -> (SparseMatrix, StampPlan) {
+        let (sym, hit) = cache.get_or_analyze(self.dim, &self.stamp_pattern(), self.vsources.len());
         let plan = self
             .build_plan(&mut |r, c| sym.slot(r, c).expect("stamped position is in the pattern"));
         let m = if hit {
@@ -662,30 +655,6 @@ impl MnaSystem {
         }
     }
 
-    /// Runs Newton–Raphson from `x_init`, building a fresh workspace on
-    /// the backend selected by `opts.solver` (symbolic structure from
-    /// `cache` when given). The `reactive` closure stamps capacitor
-    /// companion models (empty for DC).
-    ///
-    /// Returns the converged solution vector. One-shot callers (DC
-    /// analyses) use this; the transient loop reuses a workspace through
-    /// [`newton_solve_ws`](MnaSystem::newton_solve_ws).
-    #[allow(clippy::too_many_arguments)]
-    pub fn newton_solve(
-        &self,
-        t: f64,
-        x_init: &[f64],
-        opts: &SimOptions,
-        gmin: f64,
-        source_scale: f64,
-        reactive: impl FnMut(&mut MnaMatrix, &mut [f64], &StampPlan),
-        cache: Option<&SymbolicCache>,
-    ) -> Result<Vec<f64>, SpiceError> {
-        let mut ws = NewtonWorkspace::for_system(self, opts.solver, cache);
-        self.newton_solve_ws(t, x_init, opts, gmin, source_scale, reactive, &mut ws)?;
-        Ok(std::mem::take(&mut ws.x))
-    }
-
     /// Workspace-reusing Newton solve: iterates from `x_init`, leaving the
     /// converged solution in `ws.x` and returning the iteration count the
     /// solve took. No heap allocation once the workspace buffers have
@@ -776,9 +745,9 @@ impl MnaSystem {
             for r in 0..dim {
                 let delta = ws.x_new[r] - ws.x[r];
                 let tol = if r < self.n_v {
-                    opts.vntol + opts.reltol * ws.x[r].abs().max(ws.x_new[r].abs())
+                    VNTOL + RELTOL * ws.x[r].abs().max(ws.x_new[r].abs())
                 } else {
-                    opts.abstol + opts.reltol * ws.x[r].abs().max(ws.x_new[r].abs())
+                    ABSTOL + RELTOL * ws.x[r].abs().max(ws.x_new[r].abs())
                 };
                 if delta.abs() > tol {
                     converged = false;
@@ -839,7 +808,17 @@ impl MnaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::GMIN;
     use clocksense_netlist::GROUND;
+
+    /// A DC Newton solve of `sys` from a flat start at `t = 0`.
+    fn solve_flat(sys: &MnaSystem, opts: &SimOptions) -> Vec<f64> {
+        let mut ws = NewtonWorkspace::for_system(sys, opts.solver, &SymbolicCache::new());
+        let flat = vec![0.0; sys.dim];
+        sys.newton_solve_ws(0.0, &flat, opts, GMIN, 1.0, |_, _, _| {}, &mut ws)
+            .unwrap();
+        ws.x
+    }
 
     #[test]
     fn build_counts_unknowns() {
@@ -898,18 +877,7 @@ mod tests {
         ckt.add_resistor("r1", a, b, 1000.0).unwrap();
         ckt.add_resistor("r2", b, GROUND, 1000.0).unwrap();
         let sys = MnaSystem::build(&ckt).unwrap();
-        let opts = SimOptions::default();
-        let x = sys
-            .newton_solve(
-                0.0,
-                &vec![0.0; sys.dim],
-                &opts,
-                opts.gmin,
-                1.0,
-                |_, _, _| {},
-                None,
-            )
-            .unwrap();
+        let x = solve_flat(&sys, &SimOptions::default());
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((x[1] - 1.0).abs() < 1e-6);
         // Branch current: 1 mA flows out of the circuit into the source.
@@ -931,29 +899,8 @@ mod tests {
             solver: SolverKind::Sparse,
             ..SimOptions::default()
         };
-        let x0 = vec![0.0; sys.dim];
-        let xd = sys
-            .newton_solve(
-                0.0,
-                &x0,
-                &dense_opts,
-                dense_opts.gmin,
-                1.0,
-                |_, _, _| {},
-                None,
-            )
-            .unwrap();
-        let xs = sys
-            .newton_solve(
-                0.0,
-                &x0,
-                &sparse_opts,
-                sparse_opts.gmin,
-                1.0,
-                |_, _, _| {},
-                None,
-            )
-            .unwrap();
+        let xd = solve_flat(&sys, &dense_opts);
+        let xs = solve_flat(&sys, &sparse_opts);
         for (d, s) in xd.iter().zip(&xs) {
             assert!((d - s).abs() < 1e-12, "dense {d} vs sparse {s}");
         }

@@ -6,13 +6,19 @@
 //! and Shichman–Hodges (SPICE Level-1) MOSFETs.
 //!
 //! * [`dc_operating_point`] — Newton–Raphson DC solution with gmin and
-//!   source stepping fallbacks.
-//! * [`transient`] — trapezoidal integration (backward-Euler start) with
-//!   Newton iteration per step, source-breakpoint alignment and step
-//!   halving on non-convergence.
-//! * [`iddq`] — quiescent supply-current measurement, the detection
-//!   criterion the paper invokes for pull-up stuck-on and resistive
-//!   bridging faults.
+//!   source stepping fallbacks. [`DcSolution::iddq`] reads the quiescent
+//!   supply current off it, the detection criterion the paper invokes
+//!   for pull-up stuck-on and resistive bridging faults.
+//! * [`transient`] / [`transient_cached`] — trapezoidal integration
+//!   (backward-Euler start) with Newton iteration per step,
+//!   source-breakpoint alignment and step halving on non-convergence.
+//! * [`transient_batch`] — many same-topology variants marched in
+//!   lockstep lane blocks.
+//!
+//! The analyses that take a [`SymbolicCache`] share the sparse backend's
+//! symbolic analysis across same-topology circuits. The Newton
+//! tolerances are the constants [`RELTOL`], [`VNTOL`], [`ABSTOL`] and
+//! [`GMIN`]; everything else a run may vary is in [`SimOptions`].
 //!
 //! # Examples
 //!
@@ -50,12 +56,12 @@ mod tran;
 
 pub use batch::{transient_batch, LANE_WIDTH};
 pub use clocksense_exec::Deadline;
-pub use dc::{
-    dc_operating_point, dc_operating_point_cached, dc_sweep, iddq, iddq_cached, DcSolution,
-};
+pub use dc::{dc_operating_point, DcSolution};
 pub use error::{RescueStage, SimDiagnostics, SpiceError};
 pub use matrix::{DenseMatrix, LuScratch};
-pub use mos_eval::{channel_current, channel_current_lanes, MosOperatingPoint, MosRegion};
-pub use options::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
+pub use mos_eval::{channel_current, MosOperatingPoint, MosRegion};
+pub use options::{
+    IntegrationMethod, SimOptions, SolverKind, TimestepControl, ABSTOL, GMIN, RELTOL, VNTOL,
+};
 pub use sparse::{SparseMatrix, Symbolic, SymbolicCache};
 pub use tran::{transient, transient_cached, TranResult};

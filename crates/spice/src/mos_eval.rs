@@ -109,11 +109,7 @@ pub fn channel_current(
 /// work and the lane results land contiguously for the SoA Jacobian
 /// stamp. Each lane computes exactly the floating-point sequence of
 /// [`channel_current`], so laned and scalar evaluation agree bitwise.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the slice lengths disagree.
-pub fn channel_current_lanes<const L: usize>(
+pub(crate) fn channel_current_lanes<const L: usize>(
     polarity: MosPolarity,
     params: &[MosParams; L],
     vd: &[f64; L],

@@ -1,10 +1,13 @@
-//! Simulation options: convergence tolerances, time-step control and the
-//! integration method shared by every DC and transient analysis.
+//! Simulation options: Newton budget, time-step control and the
+//! integration method shared by every DC and transient analysis, plus the
+//! fixed convergence tolerances ([`RELTOL`], [`VNTOL`], [`ABSTOL`],
+//! [`GMIN`]).
 //!
-//! All entry points ([`dc_operating_point`](crate::dc_operating_point),
-//! [`dc_sweep`](crate::dc_sweep), [`transient`](crate::transient),
-//! [`iddq`](crate::iddq)) take a [`SimOptions`] and call
-//! [`SimOptions::validate`] first, so an out-of-domain option surfaces as
+//! The scalar entry points
+//! ([`dc_operating_point`](crate::dc_operating_point),
+//! [`transient`](crate::transient),
+//! [`transient_cached`](crate::transient_cached)) take a [`SimOptions`]
+//! and call [`SimOptions::validate`] first, so an out-of-domain option surfaces as
 //! a named [`SpiceError::InvalidOption`] instead of a silent
 //! mis-simulation:
 //!
@@ -28,6 +31,18 @@
 use clocksense_exec::Deadline;
 
 use crate::error::SpiceError;
+
+/// Relative Newton convergence tolerance on node voltages and branch
+/// currents (Berkeley SPICE's `reltol`).
+pub const RELTOL: f64 = 1e-3;
+/// Absolute Newton convergence tolerance on node voltages (V).
+pub const VNTOL: f64 = 1e-6;
+/// Absolute Newton convergence tolerance on branch currents (A).
+pub const ABSTOL: f64 = 1e-12;
+/// Minimum conductance tied across every MOSFET channel and from every
+/// node to ground (S); also the floor of DC gmin stepping. It bounds the
+/// leakage floor of IDDQ readings.
+pub const GMIN: f64 = 1e-12;
 
 /// Time-integration method for the transient analysis.
 ///
@@ -151,26 +166,29 @@ pub enum TimestepControl {
         /// the restart step after every source breakpoint.
         tstep_max: f64,
         /// Multiplier on the Newton tolerances forming the per-node LTE
-        /// target `lte_tol · (vntol + reltol · |v|)`. Larger values take
-        /// longer steps at the price of local accuracy; `1.0` holds the
-        /// truncation error at the solver tolerances themselves.
+        /// target `lte_tol · (VNTOL + RELTOL · |v|)` ([`VNTOL`],
+        /// [`RELTOL`]). Larger values take longer steps at the price of
+        /// local accuracy; `1.0` holds the truncation error at the solver
+        /// tolerances themselves.
         lte_tol: f64,
     },
 }
 
-/// Tolerances and controls for DC and transient analyses.
+/// Controls for DC and transient analyses.
 ///
-/// The defaults mirror Berkeley SPICE (`reltol = 1e-3`, `vntol = 1e-6`,
-/// `abstol = 1e-12`, `gmin = 1e-12`) with a 1 ps base time step suited to
-/// the sub-nanosecond edges of the paper's experiments.
+/// The convergence tolerances are fixed at the Berkeley SPICE defaults
+/// ([`RELTOL`], [`VNTOL`], [`ABSTOL`], [`GMIN`]); the default base time
+/// step of 1 ps suits the sub-nanosecond edges of the paper's
+/// experiments.
 ///
 /// Field interplay worth knowing:
 ///
 /// * A Newton update is accepted when every node voltage moved by less
-///   than `vntol + reltol · |v|` (branch currents use `abstol` in place
-///   of `vntol`). Tightening `reltol` grows iteration counts roughly
-///   logarithmically; the `spice.newton_iters_per_solve` telemetry
-///   histogram makes the effect measurable.
+///   than `VNTOL + RELTOL · |v|` (branch currents use `ABSTOL` in place
+///   of `VNTOL`), within at most `max_newton_iters` iterations, each
+///   node-voltage update clamped to `newton_damping`. The
+///   `spice.newton_iters_per_solve` telemetry histogram shows how much
+///   of the budget solves use.
 /// * `tstep` is the *base* transient step; on non-convergence the step
 ///   is halved repeatedly until it would drop below `tstep_min`, at
 ///   which point the analysis fails with
@@ -179,10 +197,9 @@ pub enum TimestepControl {
 ///   restart step after every source breakpoint, while the
 ///   local-truncation-error controller grows and shrinks the running
 ///   step inside `[tstep_min, tstep_max]` between breakpoints.
-/// * `gmin` is both the DC continuation floor and the conductance tied
-///   across every MOSFET channel, so raising it helps convergence at
-///   the price of leakage-current accuracy (IDDQ measurements are the
-///   sensitive consumer).
+/// * The continuation ladders (DC gmin stepping, the transient rescue
+///   ladder's gmin ramp) start from large conductances but accept only
+///   a solve at [`GMIN`], so a rescued point is a true solution.
 ///
 /// # Examples
 ///
@@ -195,30 +212,8 @@ pub enum TimestepControl {
 /// };
 /// assert!(opts.validate().is_ok());
 /// ```
-///
-/// A tighter tolerance set for convergence-sensitive measurements:
-///
-/// ```
-/// use clocksense_spice::SimOptions;
-///
-/// let precise = SimOptions {
-///     reltol: 1e-4,
-///     vntol: 1e-7,
-///     ..SimOptions::default()
-/// };
-/// assert!(precise.validate().is_ok());
-/// assert!(precise.reltol < SimOptions::default().reltol);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
-    /// Relative convergence tolerance on node voltages.
-    pub reltol: f64,
-    /// Absolute convergence tolerance on node voltages (V).
-    pub vntol: f64,
-    /// Absolute convergence tolerance on branch currents (A).
-    pub abstol: f64,
-    /// Minimum conductance added across MOSFET channels (S).
-    pub gmin: f64,
     /// Maximum Newton iterations per solve point.
     pub max_newton_iters: usize,
     /// Base transient time step (s).
@@ -296,10 +291,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            reltol: 1e-3,
-            vntol: 1e-6,
-            abstol: 1e-12,
-            gmin: 1e-12,
             max_newton_iters: 100,
             tstep: 1e-12,
             tstep_min: 1e-16,
@@ -346,10 +337,6 @@ impl SimOptions {
     /// field.
     pub fn validate(&self) -> Result<(), SpiceError> {
         let positive = [
-            ("reltol", self.reltol),
-            ("vntol", self.vntol),
-            ("abstol", self.abstol),
-            ("gmin", self.gmin),
             ("tstep", self.tstep),
             ("tstep_min", self.tstep_min),
             ("newton_damping", self.newton_damping),

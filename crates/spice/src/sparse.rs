@@ -866,7 +866,7 @@ impl SymbolicCache {
 mod tests {
     use super::*;
     use crate::matrix::DenseMatrix;
-    use crate::{dc_operating_point_cached, transient_batch, transient_cached};
+    use crate::{dc_operating_point, transient_batch, transient_cached};
     use crate::{SimOptions, SolverKind};
     use clocksense_netlist::{Circuit, SourceWave, GROUND};
 
@@ -1121,10 +1121,10 @@ mod tests {
             .iter()
             .all(Result::is_ok));
         transient_cached(&variants[0], 1e-9, &dense, &cache).unwrap();
-        let d = dc_operating_point_cached(&variants[0], &dense, &cache).unwrap();
+        let d = dc_operating_point(&variants[0], &dense, &cache).unwrap();
         assert_eq!(cache.stats(), (0, 0));
         assert!(cache.is_empty());
-        let s = dc_operating_point_cached(&variants[0], &sparse, &cache).unwrap();
+        let s = dc_operating_point(&variants[0], &sparse, &cache).unwrap();
         for (dv, sv) in d.as_vector().iter().zip(s.as_vector()) {
             assert!((dv - sv).abs() < 1e-9, "dense {dv} vs sparse {sv}");
         }

@@ -15,7 +15,7 @@ use clocksense_wave::Waveform;
 
 use crate::engine::{MnaSystem, NewtonWorkspace};
 use crate::error::{RescueStage, SpiceError};
-use crate::options::{IntegrationMethod, SimOptions, TimestepControl};
+use crate::options::{IntegrationMethod, SimOptions, TimestepControl, GMIN, RELTOL, VNTOL};
 use crate::sparse::SymbolicCache;
 
 /// Result of a transient analysis: every node voltage and every
@@ -123,7 +123,7 @@ struct TranWorkspace {
 }
 
 impl TranWorkspace {
-    fn new(sys: &MnaSystem, opts: &SimOptions, cache: Option<&SymbolicCache>) -> Self {
+    fn new(sys: &MnaSystem, opts: &SimOptions, cache: &SymbolicCache) -> Self {
         TranWorkspace {
             newton: NewtonWorkspace::for_system(sys, opts.solver, cache),
             companions: Vec::with_capacity(sys.capacitors.len()),
@@ -134,7 +134,7 @@ impl TranWorkspace {
     /// One integration attempt over `[t_next - h, t_next]`, with `x` as
     /// the Newton starting point (the last accepted solution, or a
     /// predictor extrapolation) and `gmin` as the channel/diagonal
-    /// conductance of this solve (the target `opts.gmin` everywhere
+    /// conductance of this solve (the target [`GMIN`] everywhere
     /// except on the rungs of a rescue gmin ramp). On success the
     /// solution is left in `self.newton.x` and the updated capacitor
     /// states in `self.new_states`; the caller swaps them in on accept.
@@ -200,7 +200,7 @@ impl TranWorkspace {
 
 /// What the rescue ladder made of a timepoint the halving loop gave up on.
 enum RescueOutcome {
-    /// Some stage converged at the target `opts.gmin`: the solution is in
+    /// Some stage converged at the target [`GMIN`]: the solution is in
     /// `ws.newton.x` / `ws.new_states`, ready for the usual accept swap.
     /// `used_be` reports whether the accepted solve integrated with
     /// backward Euler (fixed pacing then keeps BE for the rest of its
@@ -216,7 +216,7 @@ enum RescueOutcome {
 ///
 /// 1. a **local gmin ramp** at the failing timepoint — re-solve at a
 ///    heavily padded diagonal (1e-3 S) and walk it geometrically back
-///    down to `opts.gmin`, warm-starting every rung from the previous
+///    down to [`GMIN`], warm-starting every rung from the previous
 ///    rung's solution;
 /// 2. a **trapezoidal → backward-Euler downgrade** for this step (L-stable,
 ///    no oscillatory companion terms), first plain, then combined with
@@ -227,7 +227,7 @@ enum RescueOutcome {
 /// the iterations a budget-starved hot loop cannot — the same `itl`
 /// relaxation production simulators apply to their recovery passes.
 ///
-/// Only a solve at the target `opts.gmin` is ever accepted, so a rescued
+/// Only a solve at the target [`GMIN`] is ever accepted, so a rescued
 /// point satisfies exactly the same system as an ordinary one — the
 /// ladder changes which starting points Newton gets (and how long it may
 /// walk), never the answer. Callers must not invoke this on a clean
@@ -274,7 +274,7 @@ fn rescue_step(
             gmin_ramp(sys, ws, x, states, t_next, h, be, opts, &mut gmin_reached)
         } else {
             rm.be_downgrades.incr();
-            ws.try_step(sys, x, states, t_next, h, be, opts.gmin, opts)
+            ws.try_step(sys, x, states, t_next, h, be, GMIN, opts)
                 .map(|_| ())
         };
         match result {
@@ -305,7 +305,7 @@ fn rescue_step(
 }
 
 /// One gmin-ramp pass: solve at `GMIN_START`, then at geometrically
-/// decreasing gmin down to `opts.gmin`, each rung warm-started from the
+/// decreasing gmin down to [`GMIN`], each rung warm-started from the
 /// previous rung's solution. Succeeds only if the final, target-gmin rung
 /// converges (its solution is then in `ws.newton`); any rung failure
 /// fails the pass.
@@ -325,11 +325,11 @@ fn gmin_ramp(
     let rm = crate::metrics::rescue_metrics();
     let mut rungs: Vec<f64> = Vec::new();
     let mut g = GMIN_START;
-    while g > opts.gmin * 10.0 {
+    while g > GMIN * 10.0 {
         rungs.push(g);
         g /= 10.0;
     }
-    rungs.push(opts.gmin);
+    rungs.push(GMIN);
 
     // Cold path: one warm-start buffer allocation per ramp is fine.
     let mut x_start: Vec<f64> = x.to_vec();
@@ -385,7 +385,9 @@ pub fn transient(
     t_stop: f64,
     opts: &SimOptions,
 ) -> Result<TranResult, SpiceError> {
-    transient_with(circuit, t_stop, opts, None)
+    // The DC initial condition and the transient loop still share one
+    // symbolic analysis of the topology.
+    transient_cached(circuit, t_stop, opts, &SymbolicCache::new())
 }
 
 /// [`transient`] with a shared [`SymbolicCache`]: when `opts.solver` is
@@ -401,26 +403,7 @@ pub fn transient_cached(
     opts: &SimOptions,
     cache: &SymbolicCache,
 ) -> Result<TranResult, SpiceError> {
-    transient_with(circuit, t_stop, opts, Some(cache))
-}
-
-fn transient_with(
-    circuit: &Circuit,
-    t_stop: f64,
-    opts: &SimOptions,
-    cache: Option<&SymbolicCache>,
-) -> Result<TranResult, SpiceError> {
     opts.validate()?;
-    // Even without a caller-provided cache, the DC initial condition and
-    // the transient loop share one symbolic analysis of the topology.
-    let local_cache;
-    let cache = match cache {
-        Some(c) => Some(c),
-        None => {
-            local_cache = SymbolicCache::new();
-            Some(&local_cache)
-        }
-    };
     if !(t_stop.is_finite() && t_stop > 0.0) {
         return Err(SpiceError::InvalidOption(format!(
             "t_stop must be finite and positive, got {t_stop}"
@@ -646,7 +629,6 @@ impl History {
     /// branch currents of ideal sources carry no integration error of
     /// their own. Returns `None` while the history is too short (right
     /// after DC or a breakpoint), where the estimate has no basis.
-    #[allow(clippy::too_many_arguments)]
     fn lte_ratio(
         &self,
         t_new: f64,
@@ -654,7 +636,6 @@ impl History {
         n_v: usize,
         trap: bool,
         lte_tol: f64,
-        opts: &SimOptions,
     ) -> Option<f64> {
         let n = self.points.len();
         if n < if trap { 3 } else { 2 } {
@@ -677,7 +658,7 @@ impl History {
             } else {
                 h_new * h_new * dd2
             };
-            let target = lte_tol * (opts.vntol + opts.reltol * x_new[i].abs().max(x1[i].abs()));
+            let target = lte_tol * (VNTOL + RELTOL * x_new[i].abs().max(x1[i].abs()));
             worst = worst.max(lte.abs() / target);
         }
         Some(worst)
@@ -808,7 +789,7 @@ fn march(
         // Whether the attempt left a solution to accept (a sliver leaves
         // none) and, for a rescued one, whether the ladder integrated it
         // with backward Euler.
-        let attempt = ws.try_step(sys, x_start, &states, t_end, h, be, opts.gmin, opts);
+        let attempt = ws.try_step(sys, x_start, &states, t_end, h, be, GMIN, opts);
         let (solved, rescued_be) = match attempt {
             Ok(iters) => {
                 if let Some(a) = &mut lte {
@@ -818,9 +799,7 @@ fn march(
                     let tmt = crate::metrics::tran_metrics();
                     let exponent = if be { 0.5 } else { 1.0 / 3.0 };
                     let x_new = &ws.newton.x;
-                    let estimate = a
-                        .hist
-                        .lte_ratio(t_end, x_new, sys.n_v, !be, a.lte_tol, opts);
+                    let estimate = a.hist.lte_ratio(t_end, x_new, sys.n_v, !be, a.lte_tol);
                     // An overshoot with room to shrink is rejected and
                     // retried smaller. A retry the grid would snap back
                     // onto this attempt's end repeats it bit for bit,

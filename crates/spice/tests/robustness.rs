@@ -2,7 +2,9 @@
 //! bistable circuits, breakpoint-dense sources and accuracy checks.
 
 use clocksense_netlist::{Circuit, MosParams, MosPolarity, SourceWave, GROUND};
-use clocksense_spice::{dc_operating_point, transient, IntegrationMethod, SimOptions, SpiceError};
+use clocksense_spice::{
+    dc_operating_point, transient, IntegrationMethod, SimOptions, SpiceError, SymbolicCache,
+};
 
 fn nmos() -> MosParams {
     MosParams {
@@ -37,7 +39,7 @@ fn conflicting_ideal_sources_are_rejected() {
     ckt.add_vsource("v2", a, GROUND, SourceWave::Dc(2.0))
         .unwrap();
     ckt.add_resistor("r", a, GROUND, 1e3).unwrap();
-    let err = dc_operating_point(&ckt, &SimOptions::default()).unwrap_err();
+    let err = dc_operating_point(&ckt, &SimOptions::default(), &SymbolicCache::new()).unwrap_err();
     assert!(
         matches!(
             err,
@@ -82,7 +84,7 @@ fn bistable_latch_sets_and_retains_state() {
         .unwrap();
     }
     // The DC point exists (midpoint or railed, all are solutions).
-    dc_operating_point(&ckt, &SimOptions::default()).unwrap();
+    dc_operating_point(&ckt, &SimOptions::default(), &SymbolicCache::new()).unwrap();
     // Kick node a high with a 1 ns, 200 uA pulse, then release.
     ckt.add_isource(
         "kick",

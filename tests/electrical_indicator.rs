@@ -251,7 +251,7 @@ fn sensor_and_indicator_co_simulate() {
 #[test]
 fn electrical_trc_cell_truth_table() {
     use clocksense::checker::trc_cell_circuit;
-    use clocksense::spice::dc_operating_point;
+    use clocksense::spice::{dc_operating_point, SymbolicCache};
 
     let tech = Technology::cmos12();
     let cell =
@@ -284,7 +284,7 @@ fn electrical_trc_cell_truth_table() {
             ports = ports.map(name, node);
         }
         instantiate(&mut bench, &cell, "u", ports).unwrap();
-        let op = dc_operating_point(&bench, &opts()).expect("op converges");
+        let op = dc_operating_point(&bench, &opts(), &SymbolicCache::new()).expect("op converges");
         let z0 = op.voltage(bench.find_node("u.z0").unwrap()) > 2.5;
         let z1 = op.voltage(bench.find_node("u.z1").unwrap()) > 2.5;
         match expect {

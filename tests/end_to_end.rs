@@ -6,7 +6,7 @@ use clocksense::clocktree::{HTree, SkewAnalysis, TreeFault, WireParasitics};
 use clocksense::core::{ClockPair, SensorBuilder, Technology};
 use clocksense::faults::{inject, Fault, Rails, StuckLevel};
 use clocksense::netlist::SourceWave;
-use clocksense::spice::{iddq, transient, SimOptions};
+use clocksense::spice::{dc_operating_point, transient, SimOptions, SymbolicCache};
 use clocksense::wave::Waveform;
 
 fn to_pwl(w: &Waveform) -> SourceWave {
@@ -139,7 +139,14 @@ fn iddq_separates_faulty_from_healthy() {
     let static_bench = sensor
         .testbench_with_waves(SourceWave::Dc(0.0), SourceWave::Dc(0.0))
         .expect("bench builds");
-    let healthy = iddq(&static_bench, "vdd_supply", &opts()).expect("op converges");
+    let cache = SymbolicCache::new();
+    let iddq = |bench| {
+        dc_operating_point(bench, &opts(), &cache)
+            .expect("op converges")
+            .iddq("vdd_supply")
+            .expect("supply exists")
+    };
+    let healthy = iddq(&static_bench);
 
     let faulted = inject(
         &static_bench,
@@ -151,7 +158,7 @@ fn iddq_separates_faulty_from_healthy() {
         &Rails::vdd_gnd("vdd"),
     )
     .expect("fault applies");
-    let sick = iddq(&faulted, "vdd_supply", &opts()).expect("op converges");
+    let sick = iddq(&faulted);
     assert!(
         sick > 1_000.0 * healthy.abs().max(1e-12),
         "bridge current {sick} must dwarf leakage {healthy}"

@@ -13,7 +13,7 @@ use clocksense::checker::IndicatorCell;
 use clocksense::core::Technology;
 use clocksense::faults::{inject, stuck_at_universe, transistor_universe, Fault, Rails};
 use clocksense::netlist::{instantiate, Circuit, PortMap, SourceWave, GROUND};
-use clocksense::spice::{iddq, transient, SimOptions};
+use clocksense::spice::{dc_operating_point, transient, SimOptions, SymbolicCache};
 use clocksense::wave::{LogicThresholds, Waveform};
 
 fn cell(tech: Technology) -> clocksense::checker::BuiltIndicatorCell {
@@ -183,6 +183,7 @@ fn indicator_cell_is_highly_testable() {
 
     let rails = Rails::vdd_gnd("vdd");
     let patterns = [(0.0, 0.0), (0.0, 5.0), (5.0, 0.0), (5.0, 5.0)];
+    let cache = SymbolicCache::new();
     let mut logic = 0;
     let mut iddq_only = 0;
     let mut undetected_ids = Vec::new();
@@ -201,7 +202,8 @@ fn indicator_cell_is_highly_testable() {
         for &(va, vb) in &patterns {
             let sb = static_bench(tech, va, vb);
             let faulted = inject(&sb, fault, &rails).expect("injects");
-            if let Ok(current) = iddq(&faulted, "vdd_supply", &opts) {
+            let op = dc_operating_point(&faulted, &opts, &cache);
+            if let Ok(current) = op.and_then(|op| op.iddq("vdd_supply")) {
                 if current.abs() > 50e-6 {
                     iddq_hit = true;
                     break;
