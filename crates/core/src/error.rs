@@ -17,8 +17,6 @@ pub enum CoreError {
     InvalidParameter(String),
     /// A parallel worker item panicked; the payload message is preserved.
     WorkerPanic(String),
-    /// Reading or writing a checkpoint journal failed.
-    Checkpoint(String),
 }
 
 impl fmt::Display for CoreError {
@@ -30,7 +28,6 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid parameter: {detail}")
             }
             CoreError::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
-            CoreError::Checkpoint(detail) => write!(f, "checkpoint journal error: {detail}"),
         }
     }
 }
@@ -41,7 +38,6 @@ impl Error for CoreError {
             CoreError::Netlist(e) => Some(e),
             CoreError::Spice(e) => Some(e),
             CoreError::InvalidParameter(_) | CoreError::WorkerPanic(_) => None,
-            CoreError::Checkpoint(_) => None,
         }
     }
 }

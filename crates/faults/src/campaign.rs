@@ -22,6 +22,12 @@ use crate::error::FaultError;
 use crate::inject::{inject, Rails};
 use crate::model::{Fault, FaultClass};
 
+/// Input skew (s) with which faults that escape both criteria are
+/// additionally simulated, in both directions, to check whether they
+/// *mask* skew detection — the paper's question for the stuck-open faults
+/// on `c` and `g`.
+pub(crate) const MASKING_SKEW: f64 = 0.6e-9;
+
 /// Configuration of a fault-simulation campaign.
 ///
 /// The clocks are *fault-free* (zero skew): the paper's self-testing
@@ -36,13 +42,6 @@ pub struct CampaignConfig {
     pub sim: SimOptions,
     /// Detection thresholds.
     pub criteria: DetectionCriteria,
-    /// Static `(φ1, φ2)` levels for IDDQ patterns. Both clocks move
-    /// together, so only `(0,0)` and `(1,1)` are applicable.
-    pub iddq_patterns: Vec<(f64, f64)>,
-    /// If set, faults that escape both criteria are additionally simulated
-    /// with this input skew to check whether they *mask* skew detection —
-    /// the paper's question for the stuck-open faults on `c` and `g`.
-    pub skew_check: Option<f64>,
     /// Number of worker threads (`0` = one per available core).
     pub threads: usize,
     /// Per-fault soft deadline: each item's simulations run under a fresh
@@ -67,8 +66,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign with default simulator options, detection criteria, the
-    /// standard IDDQ patterns and a 0.6 ns masking check.
+    /// A campaign with default simulator options and detection criteria.
     ///
     /// The given clock pair is made periodic if it was single-shot: the
     /// campaign simulates two full cycles and evaluates logic detection
@@ -76,7 +74,6 @@ impl CampaignConfig {
     /// circuits whose fault leaves a node with no DC path (stuck-opens)
     /// does not masquerade as a fault effect.
     pub fn new(clocks: ClockPair) -> Self {
-        let vdd = clocks.vdd;
         let clocks = if clocks.period.is_finite() {
             clocks
         } else {
@@ -100,8 +97,6 @@ impl CampaignConfig {
                 t_hold: 0.25 * clocks.period,
                 ..DetectionCriteria::default()
             },
-            iddq_patterns: vec![(0.0, 0.0), (vdd, vdd)],
-            skew_check: Some(0.6e-9),
             threads: 0,
             item_deadline: None,
             retry: true,
@@ -116,6 +111,13 @@ impl CampaignConfig {
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
+    }
+
+    /// Static `(φ1, φ2)` levels of the IDDQ patterns. Both clocks move
+    /// together, so only `(0,0)` and `(1,1)` are applicable.
+    pub(crate) fn iddq_patterns(&self) -> [(f64, f64); 2] {
+        let vdd = self.clocks.vdd;
+        [(0.0, 0.0), (vdd, vdd)]
     }
 
     /// The relaxed options of the retry pass: four times the Newton
@@ -211,11 +213,10 @@ pub struct FaultRecord {
     /// Largest IDDQ measured across the static patterns (A), when the
     /// IDDQ step ran.
     pub iddq: Option<f64>,
-    /// For faults that escaped detection and when
-    /// [`CampaignConfig::skew_check`] is set: `Some(true)` if the fault
-    /// *masks* an abnormal input skew (the skewed stimulus no longer
-    /// produces an error indication), `Some(false)` if skews remain
-    /// detectable despite the fault.
+    /// For faults that escaped detection: `Some(true)` if the fault
+    /// *masks* an abnormal input skew of ±0.6 ns (the skewed
+    /// stimulus no longer produces an error indication), `Some(false)` if
+    /// skews remain detectable despite the fault.
     pub masks_skew: Option<bool>,
     /// Set exactly when the outcome is
     /// [`Inconclusive`](DetectionOutcome::Inconclusive): what stopped the
@@ -349,9 +350,9 @@ fn static_points(
     cache: &SymbolicCache,
     opts: &SimOptions,
 ) -> Result<Vec<Result<DcSolution, SpiceError>>, FaultError> {
-    cfg.iddq_patterns
-        .iter()
-        .map(|&(v1, v2)| {
+    cfg.iddq_patterns()
+        .into_iter()
+        .map(|(v1, v2)| {
             let bench = sensor.testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))?;
             let bench = match fault {
                 Some(f) => inject(&bench, f, rails)?,
@@ -458,30 +459,27 @@ fn evaluate_fault(
     // indication.
     let mut masks_skew = None;
     if outcome == DetectionOutcome::Undetected {
-        if let Some(skew) = cfg.skew_check {
-            let mut masks = false;
-            let mut checked = false;
-            for signed in [skew, -skew] {
-                let skewed = cfg.clocks.with_skew(signed);
-                let skewed_bench = sensor.testbench(&skewed)?;
-                let faulted_skewed = inject(&skewed_bench, fault, rails)?;
-                if let Ok(result) = transient_cached(&faulted_skewed, cfg.stop_time(), opts, cache)
-                {
-                    checked = true;
-                    let detected = logic_detected(
-                        &result.waveform(y1),
-                        &result.waveform(y2),
-                        &criteria,
-                        cfg.scan_from(),
-                    );
-                    if !detected {
-                        masks = true;
-                    }
+        let mut masks = false;
+        let mut checked = false;
+        for signed in [MASKING_SKEW, -MASKING_SKEW] {
+            let skewed = cfg.clocks.with_skew(signed);
+            let skewed_bench = sensor.testbench(&skewed)?;
+            let faulted_skewed = inject(&skewed_bench, fault, rails)?;
+            if let Ok(result) = transient_cached(&faulted_skewed, cfg.stop_time(), opts, cache) {
+                checked = true;
+                let detected = logic_detected(
+                    &result.waveform(y1),
+                    &result.waveform(y2),
+                    &criteria,
+                    cfg.scan_from(),
+                );
+                if !detected {
+                    masks = true;
                 }
             }
-            if checked {
-                masks_skew = Some(masks);
-            }
+        }
+        if checked {
+            masks_skew = Some(masks);
         }
     }
 
@@ -866,7 +864,7 @@ mod tests {
 
         let rails = Rails::vdd_gnd("vdd");
         let cache = SymbolicCache::new();
-        let &(v1, v2) = cfg.iddq_patterns.last().unwrap();
+        let [_, (v1, v2)] = cfg.iddq_patterns();
         let static_bench = s
             .testbench_with_waves(SourceWave::Dc(v1), SourceWave::Dc(v2))
             .unwrap();

@@ -53,7 +53,7 @@ use clocksense_spice::{
     IntegrationMethod, SimOptions, SolverKind, TimestepControl, ABSTOL, GMIN, RELTOL, VNTOL,
 };
 
-use crate::campaign::{CampaignConfig, FailureInfo, FailureKind, FaultRecord};
+use crate::campaign::{CampaignConfig, FailureInfo, FailureKind, FaultRecord, MASKING_SKEW};
 use crate::detect::DetectionOutcome;
 use crate::model::Fault;
 
@@ -64,9 +64,6 @@ pub const JOURNAL_VERSION: &str = "clocksense-journal/v1";
 
 /// Record tag used for campaign fault items.
 pub const TAG_FAULT: &str = "fault";
-
-/// Record tag used for Monte-Carlo scatter samples.
-pub const TAG_MC: &str = "mc";
 
 fn escape(field: &str) -> String {
     let mut out = String::with_capacity(field.len());
@@ -104,7 +101,7 @@ fn unescape(field: &str) -> String {
 
 /// Parses the 16-hex-digit bit pattern written by
 /// [`f64_bits`](clocksense_netlist::f64_bits) back into an `f64`.
-pub fn parse_f64_bits(field: &str) -> Option<f64> {
+fn parse_f64_bits(field: &str) -> Option<f64> {
     u64::from_str_radix(field, 16).ok().map(f64::from_bits)
 }
 
@@ -293,10 +290,10 @@ fn duration_field(d: Option<std::time::Duration>) -> String {
 /// simulation result. The `deadline` token is deliberately excluded: it
 /// is per-item wall-clock state, covered by the campaign fingerprint's
 /// `item_deadline` budget instead. `batch` is kept although no campaign
-/// or scatter result depends on it, and the fixed Newton tolerances
+/// result depends on it, and the fixed Newton tolerances
 /// ([`RELTOL`], [`VNTOL`], [`ABSTOL`], [`GMIN`]) are printed where they
 /// were once options, so that existing journals keep their item hashes.
-pub fn sim_options_fingerprint(sim: &SimOptions) -> String {
+fn sim_options_fingerprint(sim: &SimOptions) -> String {
     let method = match sim.method {
         IntegrationMethod::Trapezoidal => "trap",
         IntegrationMethod::BackwardEuler => "be",
@@ -329,8 +326,11 @@ pub fn sim_options_fingerprint(sim: &SimOptions) -> String {
 /// Fingerprint of everything besides the injected netlist that decides a
 /// campaign item's record: solver options, clock stimulus, detection
 /// criteria (with the sensor's actual logic threshold `v_th`), IDDQ
-/// patterns, skew check, deadline budget and retry policy. Worker-thread
-/// count is excluded — results are thread-count invariant by design.
+/// patterns, masking skew, deadline budget and retry policy. Worker-thread
+/// count is excluded — results are thread-count invariant by design. The
+/// IDDQ patterns and the masking skew are fixed by the campaign now, but
+/// they are still printed where they were once config fields, so that
+/// existing journals keep their item hashes.
 pub fn campaign_fingerprint(cfg: &CampaignConfig, v_th: f64) -> String {
     let mut fp = sim_options_fingerprint(&cfg.sim);
     let c = &cfg.clocks;
@@ -352,14 +352,10 @@ pub fn campaign_fingerprint(cfg: &CampaignConfig, v_th: f64) -> String {
         f64_bits(cfg.criteria.iddq_threshold),
     );
     fp.push_str("|iddq_patterns");
-    for &(a, b) in &cfg.iddq_patterns {
+    for (a, b) in cfg.iddq_patterns() {
         let _ = write!(fp, ";{},{}", f64_bits(a), f64_bits(b));
     }
-    let _ = write!(
-        fp,
-        "|skew_check={}",
-        cfg.skew_check.map_or("-".to_string(), f64_bits),
-    );
+    let _ = write!(fp, "|skew_check={}", f64_bits(MASKING_SKEW));
     let _ = write!(
         fp,
         "|deadline={};retry={}",
@@ -515,16 +511,16 @@ mod tests {
         assert!(j.is_empty());
         j.append(0xabc, TAG_FAULT, &["a".into(), "b\tc".into()])
             .unwrap();
-        j.append(0xdef, TAG_MC, &["x\ny".into()]).unwrap();
+        j.append(0xdef, "other", &["x\ny".into()]).unwrap();
         let j2 = Journal::open(&path).unwrap();
         assert_eq!(j2.len(), 2);
         assert_eq!(
             j2.lookup(0xabc, TAG_FAULT).unwrap(),
             &["a".to_string(), "b\tc".to_string()]
         );
-        assert_eq!(j2.lookup(0xdef, TAG_MC).unwrap(), &["x\ny".to_string()]);
+        assert_eq!(j2.lookup(0xdef, "other").unwrap(), &["x\ny".to_string()]);
         // Tag mismatch and unknown hash both miss.
-        assert!(j2.lookup(0xabc, TAG_MC).is_none());
+        assert!(j2.lookup(0xabc, "other").is_none());
         assert!(j2.lookup(0x123, TAG_FAULT).is_none());
         let _ = fs::remove_file(&path);
     }
@@ -640,6 +636,24 @@ mod tests {
             "sim;reltol=3f50624dd2f1a9fc;vntol=3eb0c6f7a0b5ed8d;abstol=3d719799812dea11;\
              gmin=3d719799812dea11;iters=100;tstep=3d719799812dea11;tstep_min=3c9cd2b297d889bc;\
              method=trap;timestep=fixed;solver=dense;damping=4000000000000000;rescue=true;batch=0"
+        );
+    }
+
+    #[test]
+    fn default_campaign_fingerprint_text_is_pinned() {
+        // Journals written while the IDDQ patterns and the masking skew
+        // were config fields hash this exact text.
+        let cfg = CampaignConfig::new(ClockPair::single_shot(5.0, 0.2e-9));
+        assert_eq!(
+            campaign_fingerprint(&cfg, 2.5),
+            "sim;reltol=3f50624dd2f1a9fc;vntol=3eb0c6f7a0b5ed8d;abstol=3d719799812dea11;\
+             gmin=3d719799812dea11;iters=100;tstep=3d819799812dea11;tstep_min=3c9cd2b297d889bc;\
+             method=trap;timestep=fixed;solver=dense;damping=4000000000000000;rescue=true;batch=0\
+             |clocks;4014000000000000;3e112e0be826d695;3deb7cdfd9d7bdbb;3e212e0be826d695;\
+             3e349da7e361ce4c;0000000000000000\
+             |criteria;v_th=4004000000000000;t_hold=3e149da7e361ce4c;iddq=3f0a36e2eb1c432d\
+             |iddq_patterns;0000000000000000,0000000000000000;4014000000000000,4014000000000000\
+             |skew_check=3e049da7e361ce4c|deadline=-;retry=true"
         );
     }
 

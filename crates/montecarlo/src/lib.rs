@@ -8,7 +8,8 @@
 //! the load have been considered independent."
 //!
 //! Everything is deterministic given a seed, and samples are distributed
-//! over worker threads with per-sample RNG streams.
+//! over worker threads with per-sample RNG streams. A scatter always runs
+//! in full: unlike the fault campaign, it keeps no checkpoint journal.
 //!
 //! # Examples
 //!

@@ -986,6 +986,9 @@ impl Variant {
 ///   fails reports the scalar path's structured error — batchmates never
 ///   see any of it.
 ///
+/// Options that fail [`SimOptions::validate`] fail every circuit with
+/// the same [`SpiceError::InvalidOption`], as on the scalar path.
+///
 /// Results are returned in input order. With identical source waveforms
 /// across a batch the lockstep grid is exactly the scalar grid; variants
 /// whose waves differ (Monte-Carlo slews) march the union of their
@@ -1029,6 +1032,9 @@ pub fn transient_batch(
     let scalar = |ckt: &Circuit| transient_cached(ckt, t_stop, opts, cache);
     if !opts.batching() {
         return circuits.iter().map(scalar).collect();
+    }
+    if let Err(e) = opts.validate() {
+        return circuits.iter().map(|_| Err(e.clone())).collect();
     }
 
     // Group by structural alignment (linear scan over open groups: an
@@ -1294,6 +1300,40 @@ mod tests {
             ..SimOptions::default()
         };
         assert_bit_equal_to_scalar(&circuits, 0.2e-9, &opts);
+    }
+
+    fn assert_rejected_by_name(opts: &SimOptions, name: &str) {
+        let circuits = [
+            rc_chain(1e3, 2e3, 50e-15, 20e-15),
+            rc_chain(2e3, 2e3, 40e-15, 20e-15),
+        ];
+        let cache = SymbolicCache::new();
+        let results = transient_batch(&circuits, 0.2e-9, opts, &cache);
+        assert_eq!(results.len(), 2);
+        for result in results {
+            match result {
+                Err(SpiceError::InvalidOption(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("expected InvalidOption naming {name}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn negative_damping_is_rejected_by_name() {
+        let opts = SimOptions {
+            newton_damping: -1.0,
+            ..batch_opts(8)
+        };
+        assert_rejected_by_name(&opts, "newton_damping");
+    }
+
+    #[test]
+    fn tstep_min_above_tstep_is_rejected_by_name() {
+        let opts = SimOptions {
+            tstep_min: 1.0,
+            ..batch_opts(8)
+        };
+        assert_rejected_by_name(&opts, "tstep_min");
     }
 
     #[test]

@@ -67,7 +67,8 @@ impl TranResult {
 
     /// Branch-current waveform of the named voltage source (current flowing
     /// `plus` → `minus` through the source; supplies deliver negative
-    /// values — see [`iddq`](crate::iddq) for the DC sign convention).
+    /// values — see [`DcSolution::iddq`](crate::DcSolution::iddq) for the
+    /// DC sign convention).
     pub fn source_current(&self, name: &str) -> Option<Waveform> {
         let idx = self.source_names.iter().position(|n| n == name)?;
         Some(Waveform::with_shared_times(

@@ -1,51 +1,69 @@
 #!/usr/bin/env bash
-# Tolerance-aware golden check: regenerates the canonical archived
-# outputs and compares them against the committed files in results/.
+# Tolerance-aware golden check: regenerates every archived paper output
+# and compares it against the committed file in results/.
 #
+#   results/*.txt                 stdout of the binary with the same stem
+#                                 (fig2–fig6, tab1, sec3, ablations, ...)
 #   results/fig3_report.json      deterministic telemetry counters
 #   results/mesh_array.json       lane-kernel counters (mesh + TRIX decks)
 #   results/chaos_torture.json    lane-kernel and chaos counters
-#   results/fig5_montecarlo.txt     Monte-Carlo V_min scatter table
-#   results/tab1_probabilities.txt  Monte-Carlo probability table
 #
 # Counters must match within a small relative tolerance (identical on the
 # same code, but scheduler-dependent step counts may wiggle); text files
 # are compared token-by-token with a numeric tolerance so formatting stays
-# exact while sampled statistics may drift by a hair. Wall-clock timers
-# and meta are ignored.
+# exact while sampled statistics may drift by a hair. Each text file is
+# reported as byte-identical or only within tolerance. Wall-clock timers
+# and meta are ignored; each binary's wall seconds and the total are
+# printed at the end.
 #
 # This is a *drift detector*, not a tier-1 gate: its CI job is
 # non-blocking. Run from the repository root: ./scripts/check_goldens.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The archives are full-mode outputs.
+unset CLOCKSENSE_FAST
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "==> regenerating fig3_report.json"
-cargo run --release -q -p clocksense-bench --bin fig3_skew -- \
-    --report "$tmp/fig3_report.json" > /dev/null
+echo "==> building the experiment binaries"
+cargo build --release -q -p clocksense-bench
+bindir="${CARGO_TARGET_DIR:-target}/release"
 
-echo "==> regenerating mesh_array.json"
-cargo run --release -q -p clocksense-bench --bin mesh_array -- \
-    --report "$tmp/mesh_array.json" > /dev/null
+# run <binary> <stdout file> [args...]: runs one binary, appending its
+# wall seconds to $tmp/wall.tsv.
+run() {
+    local name=$1 out=$2
+    shift 2
+    echo "==> running $name"
+    local t0 t1
+    t0=$(date +%s.%N)
+    "$bindir/$name" "$@" > "$out"
+    t1=$(date +%s.%N)
+    printf '%s\t%s\n' "$name" "$(awk -v a="$t0" -v b="$t1" 'BEGIN { print b - a }')" \
+        >> "$tmp/wall.tsv"
+}
 
-echo "==> regenerating chaos_torture.json"
-cargo run --release -q -p clocksense-bench --bin chaos_torture -- \
-    --report "$tmp/chaos_torture.json" > /dev/null
-
-echo "==> regenerating fig5_montecarlo.txt"
-cargo run --release -q -p clocksense-bench --bin fig5_montecarlo \
-    > "$tmp/fig5_montecarlo.txt"
-
-echo "==> regenerating tab1_probabilities.txt"
-cargo run --release -q -p clocksense-bench --bin tab1_probabilities \
-    > "$tmp/tab1_probabilities.txt"
+for golden in results/*.txt; do
+    stem="$(basename "$golden" .txt)"
+    if [ "$stem" = fig3_skew ]; then
+        # One run for both fig3 archives; --report adds one stdout line.
+        run fig3_skew "$tmp/fig3_skew.raw" --report "$tmp/fig3_report.json"
+        grep -vxF "telemetry report written to $tmp/fig3_report.json" \
+            "$tmp/fig3_skew.raw" > "$tmp/fig3_skew.txt"
+    else
+        run "$stem" "$tmp/$stem.txt"
+    fi
+done
+run mesh_array /dev/null --report "$tmp/mesh_array.json"
+run chaos_torture /dev/null --report "$tmp/chaos_torture.json"
 
 echo "==> comparing against committed goldens"
 python3 - "$tmp" <<'PY'
+import glob
 import json
 import math
+import os
 import re
 import sys
 
@@ -96,11 +114,34 @@ def check_text(committed_path, fresh_path, abs_tol=0.05, rel_tol=0.10):
             failures.append(f"{committed_path}: token {i}: {a!r} vs {b!r}")
 
 
-check_counters("results/fig3_report.json", f"{tmp}/fig3_report.json")
-check_counters("results/mesh_array.json", f"{tmp}/mesh_array.json")
-check_counters("results/chaos_torture.json", f"{tmp}/chaos_torture.json")
-check_text("results/fig5_montecarlo.txt", f"{tmp}/fig5_montecarlo.txt")
-check_text("results/tab1_probabilities.txt", f"{tmp}/tab1_probabilities.txt")
+goldens = sorted(glob.glob("results/*.txt"))
+for committed_path in goldens:
+    fresh_path = os.path.join(tmp, os.path.basename(committed_path))
+    with open(committed_path, "rb") as a, open(fresh_path, "rb") as b:
+        identical = a.read() == b.read()
+    before = len(failures)
+    check_text(committed_path, fresh_path)
+    if identical:
+        verdict = "byte-identical"
+    elif len(failures) == before:
+        verdict = "within tolerance"
+    else:
+        verdict = "DRIFT"
+    print(f"  {committed_path}: {verdict}")
+for name in ("fig3_report", "mesh_array", "chaos_torture"):
+    before = len(failures)
+    check_counters(f"results/{name}.json", f"{tmp}/{name}.json")
+    verdict = "counters within tolerance" if len(failures) == before else "DRIFT"
+    print(f"  results/{name}.json: {verdict}")
+
+print("wall seconds per binary:")
+total = 0.0
+with open(os.path.join(tmp, "wall.tsv"), encoding="utf-8") as f:
+    for line in f:
+        name, secs = line.split("\t")
+        total += float(secs)
+        print(f"  {name:<26} {float(secs):7.2f}")
+print(f"  {'total':<26} {total:7.2f}")
 
 if failures:
     print("check_goldens: DRIFT DETECTED", file=sys.stderr)
@@ -110,7 +151,7 @@ if failures:
         print(f"  ... and {len(failures) - 40} more", file=sys.stderr)
     sys.exit(1)
 print(
-    "check_goldens: OK (fig3_report, mesh_array and chaos_torture counters,"
-    " fig5 and tab1 tables)"
+    f"check_goldens: OK ({len(goldens)} text archives; fig3_report,"
+    " mesh_array and chaos_torture counters)"
 )
 PY
