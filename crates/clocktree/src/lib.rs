@@ -1,5 +1,5 @@
-//! Clock distribution substrate: RC trees, Elmore delay, H-trees, buffer
-//! insertion and zero-skew routing.
+//! Clock distribution substrate: RC trees, Elmore delay, H-trees and
+//! zero-skew routing.
 //!
 //! The paper's sensing circuit monitors wires of a clock distribution
 //! network; this crate builds that network. It provides:
@@ -9,9 +9,6 @@
 //!   Gaussian elimination), so whole distribution networks simulate in
 //!   linear time where the dense MNA engine would cost O(n³);
 //! * [`HTree`] — the classic symmetric H-tree topology generator;
-//! * [`BufferModel`] / [`BufferedTree`] — hierarchical buffered
-//!   distribution, the "buffers driving optimized interconnection
-//!   networks" the paper describes;
 //! * [`zero_skew_tree`] — a deferred-merge zero-skew router after Chao et
 //!   al. (the paper's reference \[3\] baseline), balancing Elmore delays
 //!   exactly at every merge;
@@ -36,7 +33,6 @@
 //! assert!(sinks.iter().all(|&s| (delays[s.index()] - d0).abs() < 1e-15));
 //! ```
 
-mod buffer;
 mod dme;
 mod error;
 mod geometry;
@@ -46,12 +42,11 @@ mod rctree;
 mod skew;
 mod variation;
 
-pub use buffer::{insert_buffers, BufferModel, BufferedTree, StageId};
 pub use dme::{zero_skew_tree, Sink, ZstResult};
 pub use error::ClockTreeError;
 pub use geometry::Point;
 pub use grid::{GridPlan, TrixPlan};
 pub use htree::{HTree, WireParasitics};
 pub use rctree::{RcNodeId, RcTree, TreeTransient};
-pub use skew::{plan_sensor_pairs, transient_arrivals, PairPlan, SensorPairCriteria, SkewAnalysis};
+pub use skew::{plan_sensor_pairs, PairPlan, SensorPairCriteria, SkewAnalysis};
 pub use variation::{Aggressor, TreeFault, TreeVariation};

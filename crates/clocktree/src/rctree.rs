@@ -479,6 +479,20 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_sink_reports_none() {
+        // A drive that never rises: no node crosses the threshold.
+        let mut tree = RcTree::new(5e-15);
+        let stem = tree.add_node(tree.root(), 100.0, 10e-15).unwrap();
+        let fast = tree.add_node(stem, 50.0, 20e-15).unwrap();
+        let slow = tree.add_node(stem, 400.0, 80e-15).unwrap();
+        let drive = SourceWave::Dc(0.0);
+        let result = tree.transient(&drive, 100.0, 1e-9, 1e-12, &[]).unwrap();
+        for node in [stem, fast, slow] {
+            assert!(result.rising_arrival(node, 2.5).is_none());
+        }
+    }
+
+    #[test]
     fn transient_approximates_elmore_at_half_rail() {
         // For RC trees the 50% crossing is close to 0.69x Elmore.
         let mut tree = RcTree::new(0.0);

@@ -135,50 +135,6 @@ impl SkewAnalysis {
     }
 }
 
-/// Waveform-level arrival analysis: propagates `drive` through the tree
-/// with the O(n) transient solver and reports each sink's first crossing
-/// of `threshold`.
-///
-/// Elmore ([`SkewAnalysis::elmore`]) is the design-time estimate; this is
-/// the signoff-style check. Returns `None` for sinks that never cross
-/// within `t_stop` (e.g. behind a catastrophic open).
-///
-/// # Errors
-///
-/// Propagates [`ClockTreeError`] from the transient solver.
-///
-/// # Examples
-///
-/// ```
-/// use clocksense_clocktree::{transient_arrivals, HTree, WireParasitics};
-/// use clocksense_netlist::SourceWave;
-///
-/// # fn main() -> Result<(), clocksense_clocktree::ClockTreeError> {
-/// let h = HTree::new(2, 2e-3, WireParasitics::metal2());
-/// let tree = h.to_rc_tree(40e-15);
-/// let drive = SourceWave::step(0.0, 5.0, 0.5e-9, 0.1e-9);
-/// let arrivals = transient_arrivals(&tree, h.sink_nodes(), &drive, 150.0, 2.5, 5e-9, 2e-12)?;
-/// assert!(arrivals.iter().all(|a| a.is_some()));
-/// # Ok(())
-/// # }
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn transient_arrivals(
-    tree: &RcTree,
-    sinks: &[RcNodeId],
-    drive: &clocksense_netlist::SourceWave,
-    driver_r: f64,
-    threshold: f64,
-    t_stop: f64,
-    dt: f64,
-) -> Result<Vec<Option<f64>>, ClockTreeError> {
-    let result = tree.transient(drive, driver_r, t_stop, dt, &[])?;
-    Ok(sinks
-        .iter()
-        .map(|&s| result.rising_arrival(s, threshold))
-        .collect())
-}
-
 /// The paper's two sensor-placement criteria.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorPairCriteria {
@@ -340,38 +296,6 @@ mod tests {
             assert!(seen.insert(i));
             assert!(seen.insert(j));
         }
-    }
-
-    #[test]
-    fn transient_arrivals_agree_with_elmore_ordering() {
-        use clocksense_netlist::SourceWave;
-        let (tree, sinks) = sample();
-        let elmore = SkewAnalysis::elmore(&tree, &sinks, 100.0);
-        let drive = SourceWave::step(0.0, 5.0, 0.2e-9, 0.05e-9);
-        let arrivals =
-            transient_arrivals(&tree, &sinks, &drive, 100.0, 2.5, 3e-9, 0.5e-12).unwrap();
-        let times: Vec<f64> = arrivals.into_iter().map(|a| a.expect("arrives")).collect();
-        // The waveform-level ordering matches the Elmore ordering.
-        for i in 0..sinks.len() {
-            for j in 0..sinks.len() {
-                if elmore.sink_delay(i) + 1e-12 < elmore.sink_delay(j) {
-                    assert!(
-                        times[i] <= times[j] + 1e-12,
-                        "ordering mismatch between sinks {i} and {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unreachable_sink_reports_none() {
-        use clocksense_netlist::SourceWave;
-        let (tree, sinks) = sample();
-        // A drive that never rises: nothing arrives.
-        let drive = SourceWave::Dc(0.0);
-        let arrivals = transient_arrivals(&tree, &sinks, &drive, 100.0, 2.5, 1e-9, 1e-12).unwrap();
-        assert!(arrivals.iter().all(|a| a.is_none()));
     }
 
     #[test]

@@ -30,13 +30,11 @@
 //! # }
 //! ```
 
-mod builders;
 mod convert;
 mod network;
 mod signal;
 mod sim;
 
-pub use builders::{equality_comparator, ripple_counter, shift_register, FfTiming};
 pub use convert::{schedule_from_waveform, source_from_run};
 pub use network::{DffId, DigitalError, GateId, GateKind, GateNetwork, NetId, Schedule};
 pub use signal::DigitalSignal;

@@ -17,7 +17,7 @@ use clocksense_spice::{
 use crate::checkpoint::{
     campaign_fingerprint, decode_fault_record, encode_fault_record, Journal, TAG_FAULT,
 };
-use crate::detect::{logic_detected, static_flip, DetectionCriteria, DetectionOutcome};
+use crate::detect::{logic_detected, static_flip, DetectionOutcome, IDDQ_THRESHOLD};
 use crate::error::FaultError;
 use crate::inject::{inject, Rails};
 use crate::model::{Fault, FaultClass};
@@ -40,8 +40,6 @@ pub struct CampaignConfig {
     pub clocks: ClockPair,
     /// Simulator options.
     pub sim: SimOptions,
-    /// Detection thresholds.
-    pub criteria: DetectionCriteria,
     /// Number of worker threads (`0` = one per available core).
     pub threads: usize,
     /// Per-fault soft deadline: each item's simulations run under a fresh
@@ -66,7 +64,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign with default simulator options and detection criteria.
+    /// A campaign with default simulator options.
     ///
     /// The given clock pair is made periodic if it was single-shot: the
     /// campaign simulates two full cycles and evaluates logic detection
@@ -88,15 +86,6 @@ impl CampaignConfig {
                 tstep: 2e-12,
                 ..SimOptions::default()
             },
-            criteria: DetectionCriteria {
-                // The paper's indicator latches indications that persist
-                // "long enough (half of the clock period)". A quarter
-                // period rejects the sub-nanosecond recovery-lag glitches
-                // that capacitive race imbalances produce, while every
-                // true indication lasts at least a full clock phase.
-                t_hold: 0.25 * clocks.period,
-                ..DetectionCriteria::default()
-            },
             threads: 0,
             item_deadline: None,
             retry: true,
@@ -111,6 +100,16 @@ impl CampaignConfig {
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
+    }
+
+    /// Minimum complementary-output duration (s) that counts as a logic
+    /// detection. The paper's indicator latches indications that persist
+    /// "long enough (half of the clock period)". A quarter period rejects
+    /// the sub-nanosecond recovery-lag glitches that capacitive race
+    /// imbalances produce, while every true indication lasts at least a
+    /// full clock phase.
+    pub(crate) fn t_hold(&self) -> f64 {
+        0.25 * self.clocks.period
     }
 
     /// Static `(φ1, φ2)` levels of the IDDQ patterns. Both clocks move
@@ -373,10 +372,7 @@ fn evaluate_fault(
     opts: &SimOptions,
 ) -> Result<FaultRecord, FaultError> {
     let v_th = sensor.technology().logic_threshold();
-    let criteria = DetectionCriteria {
-        v_th,
-        ..cfg.criteria
-    };
+    let t_hold = cfg.t_hold();
     let (y1, y2) = sensor.outputs();
 
     // Static DC comparison against the fault-free levels — the paper's
@@ -407,7 +403,8 @@ fn evaluate_fault(
         Ok(result) => logic_detected(
             &result.waveform(y1),
             &result.waveform(y2),
-            &criteria,
+            v_th,
+            t_hold,
             cfg.scan_from(),
         ),
         Err(e) => {
@@ -434,7 +431,7 @@ fn evaluate_fault(
                 Ok(current) => {
                     let current = current.abs();
                     max_iddq = Some(max_iddq.map_or(current, |m: f64| m.max(current)));
-                    if current > criteria.iddq_threshold {
+                    if current > IDDQ_THRESHOLD {
                         iddq_hit = true;
                     }
                 }
@@ -470,7 +467,8 @@ fn evaluate_fault(
                 let detected = logic_detected(
                     &result.waveform(y1),
                     &result.waveform(y2),
-                    &criteria,
+                    v_th,
+                    t_hold,
                     cfg.scan_from(),
                 );
                 if !detected {

@@ -54,7 +54,7 @@ use clocksense_spice::{
 };
 
 use crate::campaign::{CampaignConfig, FailureInfo, FailureKind, FaultRecord, MASKING_SKEW};
-use crate::detect::DetectionOutcome;
+use crate::detect::{DetectionOutcome, IDDQ_THRESHOLD};
 use crate::model::Fault;
 
 /// Version header leading every journal file. A journal with any other
@@ -328,9 +328,9 @@ fn sim_options_fingerprint(sim: &SimOptions) -> String {
 /// criteria (with the sensor's actual logic threshold `v_th`), IDDQ
 /// patterns, masking skew, deadline budget and retry policy. Worker-thread
 /// count is excluded — results are thread-count invariant by design. The
-/// IDDQ patterns and the masking skew are fixed by the campaign now, but
-/// they are still printed where they were once config fields, so that
-/// existing journals keep their item hashes.
+/// hold time, IDDQ threshold, IDDQ patterns and masking skew are fixed by
+/// the campaign now, but they are still printed where they were once
+/// config fields, so that existing journals keep their item hashes.
 pub fn campaign_fingerprint(cfg: &CampaignConfig, v_th: f64) -> String {
     let mut fp = sim_options_fingerprint(&cfg.sim);
     let c = &cfg.clocks;
@@ -348,8 +348,8 @@ pub fn campaign_fingerprint(cfg: &CampaignConfig, v_th: f64) -> String {
         fp,
         "|criteria;v_th={};t_hold={};iddq={}",
         f64_bits(v_th),
-        f64_bits(cfg.criteria.t_hold),
-        f64_bits(cfg.criteria.iddq_threshold),
+        f64_bits(cfg.t_hold()),
+        f64_bits(IDDQ_THRESHOLD),
     );
     fp.push_str("|iddq_patterns");
     for (a, b) in cfg.iddq_patterns() {

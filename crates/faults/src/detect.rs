@@ -28,36 +28,11 @@ impl DetectionOutcome {
     }
 }
 
-/// Thresholds defining fault detection.
-///
-/// * `v_th` — the logic threshold of the gate interpreting the sensor
-///   outputs (the paper's 2.75 V);
-/// * `t_hold` — minimum duration the outputs must stay complementary to be
-///   latched by the error indicator (guards against the fleeting
-///   asymmetries of normal switching);
-/// * `iddq_threshold` — quiescent supply current above which an IDDQ test
-///   flags the device. Healthy CMOS draws leakage only (well below 1 µA
-///   here), while a conducting fight or a 100 Ω bridge draws hundreds of
-///   µA, so the default 50 µA separates them by orders of magnitude.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectionCriteria {
-    /// Logic threshold (V).
-    pub v_th: f64,
-    /// Minimum complementary-output duration (s).
-    pub t_hold: f64,
-    /// IDDQ pass/fail threshold (A).
-    pub iddq_threshold: f64,
-}
-
-impl Default for DetectionCriteria {
-    fn default() -> Self {
-        DetectionCriteria {
-            v_th: 2.75,
-            t_hold: 0.2e-9,
-            iddq_threshold: 50e-6,
-        }
-    }
-}
+/// Quiescent supply current (A) above which an IDDQ test flags the
+/// device. Healthy CMOS draws leakage only (well below 1 µA here), while
+/// a conducting fight or a 100 Ω bridge draws hundreds of µA, so 50 µA
+/// separates them by orders of magnitude.
+pub(crate) const IDDQ_THRESHOLD: f64 = 50e-6;
 
 /// Returns the longest time interval during which `y1` and `y2` classify
 /// to *complementary* logic values, or `None` if they never do.
@@ -119,15 +94,13 @@ pub fn complementary_window(
 }
 
 /// `true` if the outputs hold a complementary indication at least
-/// `t_hold` seconds long, looking only at `t >= t_from`.
-pub fn logic_detected(
-    y1: &Waveform,
-    y2: &Waveform,
-    criteria: &DetectionCriteria,
-    t_from: f64,
-) -> bool {
-    complementary_window(y1, y2, criteria.v_th, t_from)
-        .map(|(s, e)| e - s >= criteria.t_hold)
+/// `t_hold` seconds long, looking only at `t >= t_from`: the logic
+/// threshold `v_th` is that of the gate interpreting the sensor outputs,
+/// and `t_hold` the minimum duration the error indicator latches (it
+/// guards against the fleeting asymmetries of normal switching).
+pub fn logic_detected(y1: &Waveform, y2: &Waveform, v_th: f64, t_hold: f64, t_from: f64) -> bool {
+    complementary_window(y1, y2, v_th, t_from)
+        .map(|(s, e)| e - s >= t_hold)
         .unwrap_or(false)
 }
 
@@ -177,17 +150,8 @@ mod tests {
         // Brief divergence of ~0.1 s.
         let y1 = wave(&[(0.0, 5.0), (1.0, 0.2), (1.1, 5.0), (2.0, 5.0)]);
         let y2 = wave(&[(0.0, 5.0), (2.0, 5.0)]);
-        let strict = DetectionCriteria {
-            t_hold: 0.5,
-            v_th: 2.75,
-            iddq_threshold: 50e-6,
-        };
-        assert!(!logic_detected(&y1, &y2, &strict, 0.0));
-        let loose = DetectionCriteria {
-            t_hold: 0.01,
-            ..strict
-        };
-        assert!(logic_detected(&y1, &y2, &loose, 0.0));
+        assert!(!logic_detected(&y1, &y2, 2.75, 0.5, 0.0));
+        assert!(logic_detected(&y1, &y2, 2.75, 0.01, 0.0));
     }
 
     #[test]

@@ -33,20 +33,16 @@ mod detect;
 mod error;
 mod inject;
 mod model;
-mod report;
-mod transient;
 mod universe;
 
 pub use campaign::{
     run_campaign, CampaignConfig, CampaignResult, FailureInfo, FailureKind, FaultRecord,
 };
 pub use checkpoint::Journal;
-pub use detect::{complementary_window, DetectionCriteria, DetectionOutcome};
+pub use detect::{complementary_window, DetectionOutcome};
 pub use error::FaultError;
 pub use inject::{inject, Rails};
 pub use model::{Fault, FaultClass, StuckLevel};
-pub use report::{csv_report, markdown_report};
-pub use transient::{run_transient_fault, TransientFault, TransientRecord};
 pub use universe::{
     bridge_universe, sensor_fault_universe, stuck_at_universe, transistor_universe,
 };

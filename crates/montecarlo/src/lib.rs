@@ -37,6 +37,6 @@ mod tau_dist;
 
 pub use experiment::{run_scatter, McConfig, McSample};
 pub use histogram::Histogram;
-pub use perturb::{perturb_circuit, perturb_circuit_global};
+pub use perturb::perturb_circuit_global;
 pub use stats::{loose_false_probabilities, Estimate};
 pub use tau_dist::{tau_min_samples, TauMinDistribution};

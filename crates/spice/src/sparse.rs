@@ -65,7 +65,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::SpiceError;
 use crate::matrix::LuScratch;
@@ -800,6 +800,8 @@ type CacheKey = (usize, usize, Vec<(u32, u32)>);
 /// `spice.symbolic_cache_hits` / `spice.symbolic_cache_misses`.
 #[derive(Debug, Default)]
 pub struct SymbolicCache {
+    /// Every update is one insert of a finished analysis, so the map stays
+    /// valid when a holder panics: a poisoned lock is recovered, not fatal.
     map: Mutex<std::collections::HashMap<CacheKey, Arc<Symbolic>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -826,7 +828,7 @@ impl SymbolicCache {
         );
         let tm = crate::metrics::metrics();
         {
-            let map = self.map.lock().expect("cache lock");
+            let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(sym) = map.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tm.symbolic_cache_hits.incr();
@@ -838,7 +840,7 @@ impl SymbolicCache {
         let sym = Arc::new(Symbolic::analyze(n, pattern, n_tail));
         self.misses.fetch_add(1, Ordering::Relaxed);
         tm.symbolic_cache_misses.incr();
-        let mut map = self.map.lock().expect("cache lock");
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = map.entry(key).or_insert_with(|| Arc::clone(&sym));
         (Arc::clone(entry), false)
     }
@@ -853,7 +855,10 @@ impl SymbolicCache {
 
     /// Number of distinct topologies analysed.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// `true` when no topology has been analysed yet.
@@ -872,6 +877,26 @@ mod tests {
 
     fn full_pattern(n: usize) -> Vec<(usize, usize)> {
         (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect()
+    }
+
+    #[test]
+    fn poisoned_cache_still_serves() {
+        // The map holds only finished analyses, so a panic while the lock
+        // is held leaves it consistent: later callers keep using it.
+        let cache = SymbolicCache::new();
+        let pattern = full_pattern(2);
+        cache.get_or_analyze(2, &pattern, 0);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = cache.map.lock().unwrap();
+                panic!("poison the cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.map.is_poisoned());
+        let (_, hit) = cache.get_or_analyze(2, &pattern, 0);
+        assert!(hit);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

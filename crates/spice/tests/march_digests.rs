@@ -9,10 +9,15 @@
 //! rescue ladder has to converge — and compare the hash with a digest
 //! recorded from the reference implementation. A refactor of the
 //! marching loop that keeps every digest is bit-identical on these
-//! paths; one that moves a digest changed the numbers.
+//! paths; one that moves a digest changed the numbers. The sparse
+//! digests pin the same march through the CSR LU, so a change of the
+//! default solver, or the removal of the dense one, has a bit-level
+//! oracle for the sparse path too.
 
 use clocksense_netlist::{from_spice, Circuit, Device, MosParams, MosPolarity, SourceWave, GROUND};
-use clocksense_spice::{transient, IntegrationMethod, SimOptions, TimestepControl, TranResult};
+use clocksense_spice::{
+    transient, IntegrationMethod, SimOptions, SolverKind, TimestepControl, TranResult,
+};
 
 /// The paper's sensing circuit in its two-phase testbench: 200 ps clock
 /// edges, phase 2 late by 300 ps, 160 fF loads, 200 Ω drivers.
@@ -402,4 +407,56 @@ fn rescued_steps_fixed_and_adaptive() {
         ..starved_opts()
     };
     check("rescue adaptive", &ckt, 2e-9, &opts, 0x0fa8_22b7_580e_5370);
+}
+
+fn sparse() -> SimOptions {
+    SimOptions {
+        solver: SolverKind::Sparse,
+        ..SimOptions::default()
+    }
+}
+
+#[test]
+fn sensor_sparse_fixed_and_adaptive() {
+    check(
+        "sensor sparse fixed trap",
+        &sensor(),
+        SENSOR_STOP,
+        &sparse(),
+        0x315c_6e77_a663_4980,
+    );
+    let opts = SimOptions {
+        timestep: adaptive(50e-12),
+        ..sparse()
+    };
+    check(
+        "sensor sparse adaptive trap",
+        &sensor(),
+        SENSOR_STOP,
+        &opts,
+        0xe989_4d5a_d95d_e4ca,
+    );
+}
+
+#[test]
+fn rc_tree_sparse_fixed_and_adaptive() {
+    let ckt = rc_tree();
+    check(
+        "rc tree sparse fixed trap",
+        &ckt,
+        2e-9,
+        &sparse(),
+        0x6419_23ff_767f_684e,
+    );
+    let opts = SimOptions {
+        timestep: adaptive(100e-12),
+        ..sparse()
+    };
+    check(
+        "rc tree sparse adaptive trap",
+        &ckt,
+        2e-9,
+        &opts,
+        0x1398_b1d4_8cdf_96aa,
+    );
 }

@@ -178,69 +178,6 @@ impl Waveform {
         out
     }
 
-    /// Time-weighted mean value over `[t0, t1]` (trapezoidal integration
-    /// of the piecewise-linear signal divided by the window length).
-    ///
-    /// Useful for average-current and power measurements on simulator
-    /// branch-current waveforms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 <= t0`.
-    pub fn mean_in(&self, t0: f64, t1: f64) -> f64 {
-        assert!(t1 > t0, "window must have positive length");
-        self.integral_in(t0, t1) / (t1 - t0)
-    }
-
-    /// Trapezoidal integral of the signal over `[t0, t1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 < t0`.
-    pub fn integral_in(&self, t0: f64, t1: f64) -> f64 {
-        assert!(t1 >= t0, "window end before start");
-        if t1 == t0 {
-            return 0.0;
-        }
-        // Integration points: window ends plus every interior sample.
-        let mut acc = 0.0;
-        let mut prev_t = t0;
-        let mut prev_v = self.value_at(t0);
-        for (&t, &v) in self.times.iter().zip(&self.values) {
-            if t <= t0 || t >= t1 {
-                continue;
-            }
-            acc += 0.5 * (prev_v + v) * (t - prev_t);
-            prev_t = t;
-            prev_v = v;
-        }
-        acc += 0.5 * (prev_v + self.value_at(t1)) * (t1 - prev_t);
-        acc
-    }
-
-    /// Time after which the signal stays within `±band` of `v_final`
-    /// until the end of the window, or `None` if it never settles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 < t0` or `band` is negative.
-    pub fn settling_time(&self, t0: f64, t1: f64, v_final: f64, band: f64) -> Option<f64> {
-        assert!(t1 >= t0, "window end before start");
-        assert!(band >= 0.0, "band must be non-negative");
-        let mut settled_since: Option<f64> = None;
-        let mut points: Vec<f64> = vec![t0];
-        points.extend(self.times.iter().copied().filter(|&t| t > t0 && t < t1));
-        points.push(t1);
-        for &t in &points {
-            if (self.value_at(t) - v_final).abs() <= band {
-                settled_since.get_or_insert(t);
-            } else {
-                settled_since = None;
-            }
-        }
-        settled_since
-    }
-
     /// Resamples onto `n` equidistant points across the full span.
     ///
     /// # Panics
@@ -324,44 +261,6 @@ mod tests {
     fn crossing_exactly_at_threshold_counts_once() {
         let w = Waveform::new(vec![0.0, 1.0, 2.0], vec![0.0, 2.0, 4.0]);
         assert_eq!(w.rising_crossings(2.0).len(), 1);
-    }
-
-    #[test]
-    fn mean_and_integral_of_known_signals() {
-        // Constant 2.0 over [0, 4].
-        let w = Waveform::new(vec![0.0, 4.0], vec![2.0, 2.0]);
-        assert!((w.mean_in(0.0, 4.0) - 2.0).abs() < 1e-12);
-        assert!((w.integral_in(1.0, 3.0) - 4.0).abs() < 1e-12);
-        // Ramp 0..4 over [0, 4]: mean = 2, integral = 8.
-        let r = Waveform::new(vec![0.0, 4.0], vec![0.0, 4.0]);
-        assert!((r.mean_in(0.0, 4.0) - 2.0).abs() < 1e-12);
-        assert!((r.integral_in(0.0, 4.0) - 8.0).abs() < 1e-12);
-        // Sub-window of the ramp: integral over [1,3] = mean 2 * 2 = 4.
-        assert!((r.integral_in(1.0, 3.0) - 4.0).abs() < 1e-12);
-        // Zero-length window integrates to zero.
-        assert_eq!(r.integral_in(2.0, 2.0), 0.0);
-    }
-
-    #[test]
-    fn settling_time_detection() {
-        // Decaying staircase settling to 1.0 after t = 2.
-        let w = Waveform::new(
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-            vec![5.0, 3.0, 1.1, 1.05, 1.0],
-        );
-        let t = w.settling_time(0.0, 4.0, 1.0, 0.2).expect("settles");
-        assert!((1.0..=2.0).contains(&t), "settling at {t}");
-        // A band met only at the very last instant settles there...
-        assert_eq!(w.settling_time(0.0, 4.0, 1.0, 0.01), Some(4.0));
-        // ... and a target never reached does not settle at all.
-        assert!(w.settling_time(0.0, 4.0, 0.5, 0.01).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive length")]
-    fn mean_of_empty_window_panics() {
-        let w = Waveform::new(vec![0.0, 1.0], vec![0.0, 1.0]);
-        w.mean_in(1.0, 1.0);
     }
 
     #[test]

@@ -19,13 +19,18 @@ echo "==> cargo test --release -q (numerics-sensitive suites)"
 cargo test --release -q -p clocksense-spice
 cargo test --release -q --test solver_equivalence --test spice_roundtrip --test batch_equivalence
 
-# The examples are user-facing documentation; they must keep building
-# and the quickstart must actually run against the current API.
+# The examples are user-facing documentation; every one must keep
+# building and actually run against the current API, so its own asserts
+# (e.g. fault_coverage's 100 % stuck-at coverage, online_selfchecking's
+# latch in the faulty cycle) execute rather than only compile.
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
-echo "==> cargo run --release --example quickstart (smoke)"
-cargo run --release --example quickstart
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "==> cargo run --release --example $name"
+    cargo run --release --quiet --example "$name" >/dev/null
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
