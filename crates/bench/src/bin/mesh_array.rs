@@ -1,5 +1,5 @@
 //! Sensor-array decks on generated clock-mesh and TRIX-grid netlists,
-//! driven through the batched campaign path.
+//! driven in lockstep through the batched transient kernel.
 //!
 //! The paper's experiments monitor one wire pair per simulation. A real
 //! deployment instruments *many* pairs of one distribution network at

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use clocksense_spice::{SimOptions, TimestepControl};
 use clocksense_wave::{LogicThresholds, Waveform};
 
 use crate::sensor::ClockEdge;
@@ -98,6 +99,23 @@ fn windows(clocks: &ClockPair, edge: ClockEdge) -> (f64, f64, f64) {
             (fall, end, end)
         }
     }
+}
+
+/// The observation horizon: the end of `edge`'s observation window plus
+/// two of the longest steps `opts` allows (`tstep` for fixed pacing,
+/// `tstep_max` for adaptive), capped at [`ClockPair::sim_stop_time`].
+///
+/// [`interpret`] reads nothing past the window end. A step starting at or
+/// before it ends at most one step plus `tstep_min` later, so a run to
+/// this horizon records the first sample past the window end before
+/// `t_stop` clamps any step.
+pub(crate) fn observation_stop(clocks: &ClockPair, edge: ClockEdge, opts: &SimOptions) -> f64 {
+    let (_, end, _) = windows(clocks, edge);
+    let longest = match opts.timestep {
+        TimestepControl::Fixed => opts.tstep,
+        TimestepControl::Adaptive { tstep_max, .. } => tstep_max,
+    };
+    (end + 2.0 * longest).min(clocks.sim_stop_time())
 }
 
 /// Interprets a pair of output waveforms against the logic threshold:
@@ -206,6 +224,80 @@ mod tests {
         assert!(!SkewVerdict::NoError.is_error());
         assert!(SkewVerdict::Invalid.is_error());
         assert_eq!(SkewVerdict::Phi1Late.to_string(), "phi1 late");
+    }
+
+    fn adaptive(tstep_max: f64) -> SimOptions {
+        SimOptions {
+            tstep: 2e-12,
+            timestep: TimestepControl::Adaptive {
+                tstep_max,
+                lte_tol: 0.1,
+            },
+            ..SimOptions::default()
+        }
+    }
+
+    fn fixed(tstep: f64) -> SimOptions {
+        SimOptions {
+            tstep,
+            ..SimOptions::default()
+        }
+    }
+
+    #[test]
+    fn horizon_lies_between_window_end_and_stop_time() {
+        for edge in [ClockEdge::Rising, ClockEdge::Falling] {
+            for skew in [-0.3e-9, 0.0, 0.1e-9, 0.6e-9] {
+                for slew in [0.1e-9, 0.4e-9] {
+                    let c = ClockPair::single_shot(5.0, slew).with_skew(skew);
+                    let (_, end, _) = windows(&c, edge);
+                    for opts in [fixed(2e-12), fixed(20e-12), adaptive(100e-12)] {
+                        let h = observation_stop(&c, edge, &opts);
+                        assert!(end < h && h <= c.sim_stop_time(), "{edge:?} {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_margin_follows_the_longest_step() {
+        let c = clocks().with_skew(0.1e-9);
+        for edge in [ClockEdge::Rising, ClockEdge::Falling] {
+            let (_, end, _) = windows(&c, edge);
+            assert_eq!(observation_stop(&c, edge, &fixed(2e-12)), end + 4e-12);
+            assert_eq!(observation_stop(&c, edge, &fixed(10e-12)), end + 20e-12);
+            // Adaptive pacing: the cap, not the initial step.
+            assert_eq!(
+                observation_stop(&c, edge, &adaptive(100e-12)),
+                end + 200e-12
+            );
+        }
+    }
+
+    #[test]
+    fn clock_too_narrow_for_the_margin_runs_to_the_stop_time() {
+        // The dual's window ends 0.6 widths before the stop time: 3 ps
+        // here, less than two 2 ps steps.
+        let c = ClockPair {
+            width: 5e-12,
+            ..clocks()
+        };
+        assert_eq!(
+            observation_stop(&c, ClockEdge::Falling, &fixed(2e-12)),
+            c.sim_stop_time()
+        );
+        // The rising window ends a slew plus 1.55 widths before it: 175 ps
+        // here, less than two 100 ps adaptive steps.
+        let c = ClockPair {
+            width: 100e-12,
+            ..ClockPair::single_shot(5.0, 20e-12)
+        };
+        assert_eq!(
+            observation_stop(&c, ClockEdge::Rising, &adaptive(100e-12)),
+            c.sim_stop_time()
+        );
+        assert!(observation_stop(&c, ClockEdge::Rising, &fixed(2e-12)) < c.sim_stop_time());
     }
 
     #[test]

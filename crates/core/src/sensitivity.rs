@@ -23,7 +23,10 @@ pub struct SkewSample {
 /// data behind the paper's Fig. 4 curves.
 ///
 /// `clocks` provides the edge slew and timing; its own `skew` field is
-/// overridden by each sweep value.
+/// overridden by each sweep value. Each point is a transient to
+/// [`SensingCircuit::observation_stop`] rather than the full
+/// [`ClockPair::sim_stop_time`]; its V_min and verdict are bit-identical
+/// to those of [`SensingCircuit::simulate`].
 ///
 /// # Errors
 ///
@@ -53,7 +56,7 @@ pub fn sweep_vmin(
     let v_th = sensor.technology().logic_threshold();
     let mut out = Vec::with_capacity(taus.len());
     for &tau in taus {
-        let response = sensor.simulate(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
         let vmin = response.vmin_late(tau);
         out.push(SkewSample {
             tau,
@@ -71,6 +74,9 @@ pub fn sweep_vmin(
 /// slow for the requested range). The search assumes detection is monotone
 /// in τ, which holds for the fault-free circuit: a larger skew gives the
 /// early output strictly more time to block the late block's pull-down.
+///
+/// Each probe is a transient to [`SensingCircuit::observation_stop`],
+/// whose verdict is bit-identical to that of [`SensingCircuit::simulate`].
 ///
 /// # Errors
 ///
@@ -93,7 +99,7 @@ pub fn find_tau_min(
         )));
     }
     let detected = |tau: f64| -> Result<bool, CoreError> {
-        let response = sensor.simulate(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
         Ok(response.verdict.is_error())
     };
     if !detected(tau_hi)? {
@@ -120,7 +126,8 @@ pub fn find_tau_min(
 /// By construction `V_min(τ)` is monotone in τ, so interpreting the
 /// output against `V_th = V_min(target_tau)` makes `target_tau` exactly
 /// the boundary skew: anything larger reads as an error. One simulation
-/// suffices.
+/// suffices, a transient to [`SensingCircuit::observation_stop`] whose
+/// V_min is bit-identical to that of [`SensingCircuit::simulate`].
 ///
 /// # Errors
 ///
@@ -155,7 +162,7 @@ pub fn threshold_for_tolerance(
             "target_tau must be positive, got {target_tau}"
         )));
     }
-    let response = sensor.simulate(&clocks.with_skew(target_tau), opts)?;
+    let response = sensor.observe(&clocks.with_skew(target_tau), opts)?;
     let v_th = response.vmin_late(target_tau);
     let vdd = sensor.technology().vdd;
     if !(0.35 * vdd..=0.9 * vdd).contains(&v_th) {

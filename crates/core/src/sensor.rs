@@ -4,7 +4,7 @@ use clocksense_netlist::{Circuit, DeviceId, MosPolarity, NodeId, SourceWave, GRO
 use clocksense_spice::{transient, SimOptions};
 
 use crate::error::CoreError;
-use crate::response::{interpret, SensorResponse};
+use crate::response::{interpret, observation_stop, SensorResponse};
 use crate::stimulus::ClockPair;
 use crate::tech::Technology;
 
@@ -548,6 +548,15 @@ impl SensingCircuit {
     /// then V_min extraction and strobe classification against the
     /// technology's logic threshold).
     ///
+    /// The run covers the whole pulse and the recovery after it, past the
+    /// observation window, because callers read the waveforms there: the
+    /// fig. 2 / fig. 3 plots, the indicator hold time and the recovery
+    /// time of [`characterize`](crate::characterize). The verdict and the
+    /// window extremes alone need only a run to
+    /// [`SensingCircuit::observation_stop`], which is how
+    /// [`sweep_vmin`](crate::sweep_vmin), [`find_tau_min`](crate::find_tau_min)
+    /// and [`threshold_for_tolerance`](crate::threshold_for_tolerance) run.
+    ///
     /// # Errors
     ///
     /// Propagates construction and simulation errors.
@@ -556,8 +565,28 @@ impl SensingCircuit {
         clocks: &ClockPair,
         opts: &SimOptions,
     ) -> Result<SensorResponse, CoreError> {
+        self.simulate_to(clocks, clocks.sim_stop_time(), opts)
+    }
+
+    /// [`SensingCircuit::simulate`] stopped at the observation horizon:
+    /// the same verdict and window extremes, bit for bit, with the
+    /// waveforms cut shortly after the observation window.
+    pub(crate) fn observe(
+        &self,
+        clocks: &ClockPair,
+        opts: &SimOptions,
+    ) -> Result<SensorResponse, CoreError> {
+        self.simulate_to(clocks, self.observation_stop(clocks, opts), opts)
+    }
+
+    fn simulate_to(
+        &self,
+        clocks: &ClockPair,
+        t_stop: f64,
+        opts: &SimOptions,
+    ) -> Result<SensorResponse, CoreError> {
         let bench = self.testbench(clocks)?;
-        let result = transient(&bench, clocks.sim_stop_time(), opts)?;
+        let result = transient(&bench, t_stop, opts)?;
         let (y1, y2) = self.outputs();
         Ok(interpret(
             result.waveform(y1),
@@ -566,6 +595,22 @@ impl SensingCircuit {
             self.edge,
             self.tech.logic_threshold(),
         ))
+    }
+
+    /// The observation horizon of this sensor under `clocks` and `opts`:
+    /// the end of the observation window [`interpret`] reads for the
+    /// sensor's edge, plus two of the longest steps `opts` allows
+    /// (`tstep` for fixed pacing, `tstep_max` for adaptive), capped at
+    /// [`ClockPair::sim_stop_time`].
+    ///
+    /// Pulse breakpoints and step ends depend only on the past, and
+    /// `t_stop` changes only the step it clamps. So a transient to this
+    /// horizon records a bit-identical prefix of the
+    /// [`ClockPair::sim_stop_time`] run, through the first sample past
+    /// the window end, and [`interpret`] returns the same extremes and
+    /// verdict from either.
+    pub fn observation_stop(&self, clocks: &ClockPair, opts: &SimOptions) -> f64 {
+        observation_stop(clocks, self.edge, opts)
     }
 }
 

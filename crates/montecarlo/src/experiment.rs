@@ -82,7 +82,8 @@ fn one_sample(
     let start_offset = tau + 0.5 * (slew1 - slew2);
     let clocks = clocks.with_skew(start_offset);
     let bench = sensor.testbench_with_slews(&clocks, slew1, slew2)?;
-    let result = transient_cached(&bench, clocks.sim_stop_time(), &cfg.sim, cache)?;
+    let t_stop = sensor.observation_stop(&clocks, &cfg.sim);
+    let result = transient_cached(&bench, t_stop, &cfg.sim, cache)?;
     let (y1, y2) = sensor.outputs();
     let v_th = sensor.technology().logic_threshold();
     let response = clocksense_core::interpret(
@@ -107,6 +108,11 @@ fn one_sample(
 /// Runs the Fig. 5 scatter: `cfg.samples` perturbed circuits, each
 /// simulated at one skew from `taus` (cycled in order, so every skew value
 /// receives an equal share of samples).
+///
+/// Each sample is a transient to
+/// [`SensingCircuit::observation_stop`](clocksense_core::SensingCircuit::observation_stop):
+/// the sample reads only V_min and the verdict, which match those of a
+/// run to [`ClockPair::sim_stop_time`] bit for bit.
 ///
 /// # Errors
 ///

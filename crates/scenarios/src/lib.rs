@@ -5,10 +5,11 @@
 //!
 //! * [`mesh`] — parameterized clock-mesh and TRIX-grid netlists in the
 //!   1k–10k-node range, with **sensor arrays**: many sensing circuits
-//!   grafted into one deck ([`array`]), each monitoring a pair of grid
-//!   taps that is nominally skew-free by symmetry. Value-variant copies
-//!   of a deck (a resistive fault swept over a link) run through the
-//!   batched campaign path of `clocksense-faults`.
+//!   grafted into one deck ([`array`](mod@array)), each monitoring a
+//!   pair of grid taps that is nominally skew-free by symmetry.
+//!   Value-variant copies of a deck (a resistive fault swept over a
+//!   link) run in lockstep through the spice crate's lane-blocked batch
+//!   kernel, `transient_batch`.
 //! * [`two_phase`] — a programmable two-phase non-overlapping clock
 //!   generator (margin, rise/fall, width), so the sensor is exercised
 //!   against *generated* φ1/φ2 instead of ideal sources, and the skew

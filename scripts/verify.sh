@@ -8,8 +8,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 # Numerics-sensitive suites again under release optimisations: the
 # solver-equivalence bounds (dense vs sparse to 1e-9, tree solver
@@ -38,8 +38,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo doc --no-deps"
-cargo doc --no-deps
+echo "==> cargo doc --workspace --no-deps"
+cargo doc --workspace --no-deps
 
 # The benchmark harness is a package of its own (perf/Cargo.toml, own
 # [workspace] and Cargo.lock) built against the library crates by path,
