@@ -153,14 +153,20 @@ pub struct SensorBuilder {
     tech: Technology,
     nmos_width: f64,
     pmos_width: f64,
-    keeper_width: f64,
-    load1: f64,
-    load2: f64,
+    load: f64,
     keepers: bool,
     edge: ClockEdge,
     line_resistance: f64,
-    driver_resistance: f64,
 }
+
+/// Width of the weak keeper device of each full-swing keeper (m).
+const KEEPER_WIDTH: f64 = 1e-6;
+
+/// Output resistance of the clock drivers in the test bench (Ω): the
+/// Thevenin impedance of the clock-tree buffers feeding the monitored
+/// wires. This matters to fault injection: a node stuck-at fault on a
+/// clock input only manifests if the driver cannot overpower the short.
+const DRIVER_RESISTANCE: f64 = 200.0;
 
 impl SensorBuilder {
     /// Starts a builder over the given technology.
@@ -169,13 +175,10 @@ impl SensorBuilder {
             tech,
             nmos_width: 8e-6,
             pmos_width: 12e-6,
-            keeper_width: 1e-6,
-            load1: 0.0,
-            load2: 0.0,
+            load: 0.0,
             keepers: false,
             edge: ClockEdge::Rising,
             line_resistance: 0.0,
-            driver_resistance: 200.0,
         }
     }
 
@@ -183,17 +186,7 @@ impl SensorBuilder {
     /// of Fig. 4: 80, 160 or 240 fF).
     #[must_use]
     pub fn load_capacitance(mut self, farads: f64) -> Self {
-        self.load1 = farads;
-        self.load2 = farads;
-        self
-    }
-
-    /// Sets per-output load capacitances (asymmetric loading, as in the
-    /// Monte-Carlo experiments).
-    #[must_use]
-    pub fn load_capacitances(mut self, cl1: f64, cl2: f64) -> Self {
-        self.load1 = cl1;
-        self.load2 = cl2;
+        self.load = farads;
         self
     }
 
@@ -238,32 +231,10 @@ impl SensorBuilder {
         self
     }
 
-    /// Sets the output resistance of the clock drivers in the test bench
-    /// (the Thevenin impedance of the clock-tree buffers feeding the
-    /// monitored wires). This matters to fault injection: a node stuck-at
-    /// fault on a clock input only manifests if the driver cannot
-    /// overpower the short. Zero gives ideal drivers.
-    #[must_use]
-    pub fn driver_resistance(mut self, ohms: f64) -> Self {
-        self.driver_resistance = ohms;
-        self
-    }
-
-    /// Scale factor applied to one device width, used by ablation studies.
-    /// Returns the builder unchanged for labels the builder does not size
-    /// individually (everything except the global widths).
-    #[must_use]
-    pub fn scaled(mut self, nmos_factor: f64, pmos_factor: f64) -> Self {
-        self.nmos_width *= nmos_factor;
-        self.pmos_width *= pmos_factor;
-        self
-    }
-
     fn validate(&self) -> Result<(), CoreError> {
         for (name, v) in [
             ("nmos_width", self.nmos_width),
             ("pmos_width", self.pmos_width),
-            ("keeper_width", self.keeper_width),
         ] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(CoreError::InvalidParameter(format!(
@@ -272,10 +243,8 @@ impl SensorBuilder {
             }
         }
         for (name, v) in [
-            ("load1", self.load1),
-            ("load2", self.load2),
+            ("load", self.load),
             ("line_resistance", self.line_resistance),
-            ("driver_resistance", self.driver_resistance),
         ] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(CoreError::InvalidParameter(format!(
@@ -341,11 +310,9 @@ impl SensorBuilder {
         ckt.add_mosfet("m_i", series_pol, y2, phi2, mid_b, series_params)?;
         ckt.add_mosfet("m_l", series_pol, mid_b, y1, series_rail, series_params)?;
 
-        if self.load1 > 0.0 {
-            ckt.add_capacitor("cl1", y1, GROUND, self.load1)?;
-        }
-        if self.load2 > 0.0 {
-            ckt.add_capacitor("cl2", y2, GROUND, self.load2)?;
+        if self.load > 0.0 {
+            ckt.add_capacitor("cl1", y1, GROUND, self.load)?;
+            ckt.add_capacitor("cl2", y2, GROUND, self.load)?;
         }
 
         if self.keepers {
@@ -353,8 +320,8 @@ impl SensorBuilder {
             let inv_n = tech.nmos_params(2e-6);
             let inv_p = tech.pmos_params(4e-6);
             let keeper_params = match self.edge {
-                ClockEdge::Rising => tech.nmos_params(self.keeper_width),
-                ClockEdge::Falling => tech.pmos_params(self.keeper_width),
+                ClockEdge::Rising => tech.nmos_params(KEEPER_WIDTH),
+                ClockEdge::Falling => tech.pmos_params(KEEPER_WIDTH),
             };
             let keeper_pol = series_pol;
             let keeper_rail = series_rail;
@@ -393,7 +360,6 @@ impl SensorBuilder {
             phi1_port,
             phi2_port,
             has_keepers: self.keepers,
-            driver_resistance: self.driver_resistance,
             y1,
             y2,
         })
@@ -415,7 +381,6 @@ pub struct SensingCircuit {
     phi1_port: String,
     phi2_port: String,
     has_keepers: bool,
-    driver_resistance: f64,
     y1: NodeId,
     y2: NodeId,
 }
@@ -529,17 +494,12 @@ impl SensingCircuit {
         let p1 = ckt.node(&self.phi1_port.clone());
         let p2 = ckt.node(&self.phi2_port.clone());
         ckt.add_vsource(Self::SUPPLY, vdd, GROUND, SourceWave::Dc(self.tech.vdd))?;
-        if self.driver_resistance > 0.0 {
-            let d1 = ckt.node("phi1_drv");
-            let d2 = ckt.node("phi2_drv");
-            ckt.add_vsource("vphi1", d1, GROUND, phi1)?;
-            ckt.add_vsource("vphi2", d2, GROUND, phi2)?;
-            ckt.add_resistor("rdrv1", d1, p1, self.driver_resistance)?;
-            ckt.add_resistor("rdrv2", d2, p2, self.driver_resistance)?;
-        } else {
-            ckt.add_vsource("vphi1", p1, GROUND, phi1)?;
-            ckt.add_vsource("vphi2", p2, GROUND, phi2)?;
-        }
+        let d1 = ckt.node("phi1_drv");
+        let d2 = ckt.node("phi2_drv");
+        ckt.add_vsource("vphi1", d1, GROUND, phi1)?;
+        ckt.add_vsource("vphi2", d2, GROUND, phi2)?;
+        ckt.add_resistor("rdrv1", d1, p1, DRIVER_RESISTANCE)?;
+        ckt.add_resistor("rdrv2", d2, p2, DRIVER_RESISTANCE)?;
         Ok(ckt)
     }
 

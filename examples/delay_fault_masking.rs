@@ -11,11 +11,12 @@
 //!   1. a combinational delay fault that a delay test would catch on the
 //!      healthy clock is *masked* by the skewed capture clock;
 //!   2. the same skew silently destroys the short-path hold margin;
-//!   3. the skew sensor across the two branches flags the root cause.
+//!   3. the skew sensor across the two branches flags the root cause and
+//!      names the late branch.
 //!
 //! Run with: `cargo run --release --example delay_fault_masking`
 
-use clocksense::checker::{ErrorIndicator, FlipFlop, TimingPath};
+use clocksense::checker::{ErrorIndicator, FlipFlop, Indication, TimingPath};
 use clocksense::clocktree::{HTree, TreeFault, WireParasitics};
 use clocksense::core::{SensorBuilder, Technology};
 use clocksense::netlist::SourceWave;
@@ -141,7 +142,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => "quiet",
         }
     );
-    assert!(indicator.latched().is_some());
+    // (y1, y2) = (0, 1) flags the second monitored phase, the capture
+    // branch, as the late one.
+    assert_eq!(indicator.latched(), Some(Indication::ZeroOne));
     println!("\nconclusion: logic delay tests miss what the sensing scheme catches");
     Ok(())
 }

@@ -12,7 +12,8 @@
 # same code, but scheduler-dependent step counts may wiggle); text files
 # are compared token-by-token with a numeric tolerance so formatting stays
 # exact while sampled statistics may drift by a hair. Each text file is
-# reported as byte-identical or only within tolerance. Wall-clock timers
+# reported as byte-identical or only within tolerance, each counter map as
+# bit-identical or only within tolerance. Wall-clock timers
 # and meta are ignored; each binary's wall seconds and the total are
 # printed at the end.
 #
@@ -72,6 +73,8 @@ failures = []
 
 
 def check_counters(committed_path, fresh_path, rel_tol=0.05):
+    """Checks the counters within tolerance; returns whether they are
+    exactly equal."""
     with open(committed_path, encoding="utf-8") as f:
         committed = json.load(f)["counters"]
     with open(fresh_path, encoding="utf-8") as f:
@@ -87,6 +90,7 @@ def check_counters(committed_path, fresh_path, rel_tol=0.05):
                 failures.append(
                     f"counter {name!r}: committed {a} vs regenerated {b}"
                 )
+    return committed == fresh
 
 
 NUM = re.compile(r"^-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?$")
@@ -130,8 +134,13 @@ for committed_path in goldens:
     print(f"  {committed_path}: {verdict}")
 for name in ("fig3_report", "mesh_array", "chaos_torture"):
     before = len(failures)
-    check_counters(f"results/{name}.json", f"{tmp}/{name}.json")
-    verdict = "counters within tolerance" if len(failures) == before else "DRIFT"
+    identical = check_counters(f"results/{name}.json", f"{tmp}/{name}.json")
+    if identical:
+        verdict = "counters bit-identical"
+    elif len(failures) == before:
+        verdict = "counters within tolerance"
+    else:
+        verdict = "DRIFT"
     print(f"  results/{name}.json: {verdict}")
 
 print("wall seconds per binary:")

@@ -9,8 +9,8 @@
 //! * [`wave`] — waveforms and measurements
 //! * [`faults`] — fault models and campaigns
 //! * [`clocktree`] — clock distribution substrate
-//! * [`digital`] — gate-level logic simulation (the synchronous context)
-//! * [`checker`] — error indicators, two-rail checkers, scan paths
+//! * [`checker`] — error indicators, two-rail checkers, scan paths, and
+//!   the flip-flop/timing-path model (the synchronous context)
 //! * [`montecarlo`] — parameter variation and statistics
 //! * [`telemetry`] — runtime counters, timers and JSON run reports
 //! * [`scenarios`] — workload generators: mesh/TRIX sensor-array decks,
@@ -19,7 +19,6 @@
 pub use clocksense_checker as checker;
 pub use clocksense_clocktree as clocktree;
 pub use clocksense_core as core;
-pub use clocksense_digital as digital;
 pub use clocksense_faults as faults;
 pub use clocksense_montecarlo as montecarlo;
 pub use clocksense_netlist as netlist;
